@@ -6,10 +6,9 @@ quantities), and statistics (uncertainty estimates and tolerances).
 The document is serialized as JSON with sorted keys or as a flat
 two-column CSV of dotted keys, so a fixed (seed, config) pair yields
 byte-identical output. Presentation knobs (--format, --output,
---workers, --config) are excluded from the config echo: sampling is
-split into fixed-size blocks with one random stream per block index
-and aggregated by exact integer counts, so the worker count cannot
-change a single byte of the results.
+--workers, --config) are excluded from the config echo; sampling runs
+in fixed-size blocks with one random stream per block index, so
+--workers, accepted for compatibility, changes nothing.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or validation
 error.
@@ -21,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,6 +68,8 @@ def _float_value(flag: str, positive: bool = False):
             value = float(str(text).strip())
         except ValueError:
             raise CliError(f"{flag} expects a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {text!r}")
         if positive and value <= 0.0:
             raise CliError(f"{flag} must be positive")
         return value
@@ -87,18 +89,13 @@ def _choice(flag: str, options: tuple[str, ...]):
 
 
 def _float_list(flag: str):
+    number = _float_value(flag)
+
     def convert(text) -> list[float]:
-        if isinstance(text, (list, tuple)):
-            return [float(v) for v in text]
         parts = [p.strip() for p in str(text).split(",") if p.strip()]
         if not parts:
             raise CliError(f"{flag} expects comma-separated numbers")
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise CliError(
-                f"{flag} expects comma-separated numbers, got {text!r}"
-            ) from None
+        return [number(p) for p in parts]
 
     return convert
 
@@ -106,7 +103,7 @@ def _float_list(flag: str):
 SEED = Option("seed", "--seed", _int_in_range("--seed", 0, 2**64 - 1), 0,
               "random seed, 64-bit unsigned (default 0)")
 WORKERS = Option("workers", "--workers", _int_in_range("--workers", 1), 1,
-                 "thread count for blocked sampling; never changes results")
+                 "accepted for compatibility; changes nothing")
 FORMAT = Option("format", "--format", _choice("--format", FORMAT_CHOICES),
                 "json", "output format: json or csv (default json)")
 OUTPUT = Option("output", "--output", str, None,
@@ -123,6 +120,11 @@ P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", RULE_CHOICES),
                  "probabilistic projection rule")
 SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1),
                  100_000, "number of pairs to sample")
+
+# epr holds points^2 complex grids; commutator-check builds a dense
+# (2 points)^2 complex matrix at its refined level, 269 MB at the cap.
+EPR_MAX_POINTS = 2048
+COMMUTATOR_MAX_POINTS = 2049
 
 # Presentation and execution knobs, excluded from the config echo so
 # that the same experiment produces the same bytes everywhere.
@@ -334,7 +336,6 @@ def run_singlet_correlation(settings: dict) -> dict:
         b,
         settings["samples"],
         settings["seed"],
-        workers=settings["workers"],
     )
     value = counts.correlation
     n = counts.n_pairs
@@ -362,33 +363,22 @@ def run_chsh(settings: dict) -> dict:
     """results: s, correlations rows {electron_setting,
     positron_setting, sign, value, n_pairs}. statistics:
     standard_error, classical_bound, tsirelson_bound."""
-    from eprlab.spinlab import DEFAULT_BLOCK_SIZE, pair_counts_blocked
+    from eprlab.spinlab import chsh_blocked
 
     (a, a2, b, b2), pairs = _analyzer_settings(settings["angles"], 4)
-    model = _pair_model(settings)
-    n = settings["samples"]
-    # Each correlation gets its own stream-offset range so the four
-    # estimates stay independent and block-index addressable.
-    blocks_per = -(-n // DEFAULT_BLOCK_SIZE)
+    all_counts = chsh_blocked(
+        _pair_model(settings), a, a2, b, b2, settings["samples"], settings["seed"]
+    )
     combination = (
-        (a, pairs[0], b, pairs[2], 1.0),
-        (a, pairs[0], b2, pairs[3], -1.0),
-        (a2, pairs[1], b, pairs[2], 1.0),
-        (a2, pairs[1], b2, pairs[3], 1.0),
+        (pairs[0], pairs[2], 1.0),
+        (pairs[0], pairs[3], -1.0),
+        (pairs[1], pairs[2], 1.0),
+        (pairs[1], pairs[3], 1.0),
     )
     s = 0.0
     variance = 0.0
     rows = []
-    for j, (sa, ea, sb, eb, sign) in enumerate(combination):
-        counts = pair_counts_blocked(
-            model,
-            sa,
-            sb,
-            n,
-            settings["seed"],
-            workers=settings["workers"],
-            stream_offset=j * blocks_per,
-        )
+    for (ea, eb, sign), counts in zip(combination, all_counts):
         value = counts.correlation
         s += sign * value
         variance += max(0.0, 1.0 - value * value) / counts.n_pairs
@@ -424,7 +414,6 @@ def run_switch(settings: dict) -> dict:
         settings["samples"],
         settings["mode"],
         settings["seed"],
-        workers=settings["workers"],
     )
     p = report.p_electron_up
     return {
@@ -451,23 +440,24 @@ def run_untangle(settings: dict) -> dict:
     max_residual_schmidt_weight (0 for exact product outputs).
     statistics: branch_standard_error."""
     from eprlab.rng import make_stream
-    from eprlab.spinlab import singlet, untangle
+    from eprlab.spinlab import singlet, untangle_branches, untangle_counts
 
-    rng = make_stream(settings["seed"], 0)
     state = singlet()
     n = settings["samples"]
-    up_down = 0
-    worst = 0.0
-    for _ in range(n):
-        out = untangle(state, rng)
-        worst = max(worst, float(out.schmidt_coefficients()[1]))
-        up_down += int(out.amps[0, 1] == 1.0)
+    tallies = untangle_counts(state, n, make_stream(settings["seed"], 0))
+    # Every draw yields one of the two branch states, so the residual
+    # over all outputs is the residual over the branches that occurred.
+    worst = max(
+        float(branch.schmidt_coefficients()[1])
+        for branch, count in zip(untangle_branches(state), tallies)
+        if count
+    )
     return {
         "config": _base_config(settings),
         "results": {
             "n_draws": n,
-            "up_down": up_down,
-            "down_up": n - up_down,
+            "up_down": tallies[0],
+            "down_up": tallies[1],
             "max_residual_schmidt_weight": worst,
         },
         "statistics": {
@@ -506,7 +496,8 @@ COMMANDS: dict[str, CommandSpec] = {
             Option("length", "--length",
                    _float_value("--length", positive=True), 16.0,
                    "grid extent"),
-            Option("points", "--points", _int_in_range("--points", 5), 513,
+            Option("points", "--points",
+                   _int_in_range("--points", 5, COMMUTATOR_MAX_POINTS), 513,
                    "grid points"),
         ),
         run_commutator_check,
@@ -517,7 +508,8 @@ COMMANDS: dict[str, CommandSpec] = {
             Option("length", "--length",
                    _float_value("--length", positive=True), 20.0,
                    "grid extent per axis"),
-            Option("points", "--points", _int_in_range("--points", 64), 512,
+            Option("points", "--points",
+                   _int_in_range("--points", 64, EPR_MAX_POINTS), 512,
                    "grid points per axis"),
             Option("sigma", "--sigma", _float_value("--sigma", positive=True),
                    0.5, "relative-coordinate width"),

@@ -17,15 +17,15 @@ projected onto the particle's definite axis, ties broken toward +1. A
 probabilistic completion (projection probabilities, cos^2(theta/2)) is
 available as the labeled "probabilistic" rule; the two are never mixed.
 
-Sampling draws from explicitly passed generators in a fixed order, so a
-fixed seed reproduces outcome sequences exactly. The *_blocked variants
-split the pair budget into fixed-size blocks with one derived stream per
-block, making aggregate counts independent of the worker count.
+Tallies are drawn as one multinomial from each setting's exact joint
+law (for the entangled model, through the singlet's expansion and
+collapse); sample_pair is the per-pair route they are checked against.
+The *_blocked variants draw fixed-size blocks from one derived stream
+each, so a fixed seed reproduces every count exactly.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -58,9 +58,13 @@ __all__ = [
     "pair_counts_blocked",
     "correlation",
     "chsh",
+    "chsh_blocked",
+    "joint_law",
     "switch_protocol",
     "switch_protocol_blocked",
     "untangle",
+    "untangle_branches",
+    "untangle_counts",
     "DEFAULT_BLOCK_SIZE",
 ]
 
@@ -110,6 +114,8 @@ class AnalyzerSetting:
         v = np.array(self.vector, dtype=float)
         if v.shape != (3,):
             raise ValueError("analyzer setting must be a 3-vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("analyzer setting must be finite")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("analyzer setting must be a unit vector")
         v.setflags(write=False)
@@ -225,9 +231,9 @@ def spin_operator(setting: AnalyzerSetting) -> LinearOperator:
     return LinearOperator(entries, hermitian=True)
 
 
-def _sign_plus(x: np.ndarray) -> np.ndarray:
+def _sign_plus(x: float) -> int:
     """Deterministic sign with ties at zero broken toward +1."""
-    return np.where(np.asarray(x) >= 0.0, 1, -1)
+    return 1 if x >= 0.0 else -1
 
 
 def sample_pair(
@@ -247,16 +253,12 @@ def sample_pair(
     if isinstance(model, QuantumEntangled):
         first = measure_subsystem(singlet(), spin_operator(a), rng)
         second = measure_observable(spin_operator(b), first.remote, rng)
-        return PairOutcome(
-            int(_sign_plus(first.eigenvalue)), int(_sign_plus(second.eigenvalue))
-        )
+        return PairOutcome(_sign_plus(first.eigenvalue), _sign_plus(second.eigenvalue))
     config = 1 if rng.random() < 0.5 else -1
     az = float(a.vector[2])
     bz = float(b.vector[2])
     if model.rule == "deterministic":
-        return PairOutcome(
-            int(_sign_plus(config * az)), int(_sign_plus(-config * bz))
-        )
+        return PairOutcome(_sign_plus(config * az), _sign_plus(-config * bz))
     p_e = (1.0 + config * az) / 2.0
     p_p = (1.0 - config * bz) / 2.0
     electron = 1 if rng.random() < p_e else -1
@@ -264,65 +266,39 @@ def sample_pair(
     return PairOutcome(electron, positron)
 
 
-def _entangled_block(
-    a: AnalyzerSetting, b: AnalyzerSetting, n: int, rng: np.random.Generator
-) -> PairCounts:
-    """Vectorized singlet sampling, identical in law to per-pair collapse.
+def joint_law(
+    model: PairModel, a: AnalyzerSetting, b: AnalyzerSetting
+) -> np.ndarray:
+    """Exact probabilities of (up_up, up_down, down_up, down_down), the
+    electron measured along a and the positron along b.
 
-    Electron outcomes are drawn from the expansion probabilities along
-    a; positron outcomes from the Born probability of the +1 eigenspace
-    of b's spin operator on the remote state each electron outcome
-    leaves. Draw order: electron uniforms, then positron uniforms.
+    Entangled: the expansion probability of each electron outcome along
+    a times the Born probabilities of b's eigenspaces on the remote
+    state it leaves, as sample_pair collapses. Preassigned: the 1/2-1/2
+    mixture over the hidden configuration of the model's rule, the sign
+    rule giving probabilities of exactly 0 or 1.
     """
-    expansion = expand_bipartite(singlet(), spin_operator(a))
-    values = expansion.group_eigenvalues
-    probs = expansion.group_probabilities
-    remotes = [expansion.remote_state(k) for k in range(values.size)]
-    plus_basis = eigengroups(spin_operator(b))[-1].basis
-    p_plus = np.array(
-        [
-            float(np.sum(np.abs(plus_basis.conj().T @ r.amplitudes) ** 2))
-            for r in remotes
-        ]
-    )
-    hi = (rng.random(n) < probs[1]).astype(int)
-    electron = _sign_plus(values[hi])
-    positron = np.where(rng.random(n) < p_plus[hi], 1, -1)
-    return _tally(electron, positron)
-
-
-def _preassigned_block(
-    model: PreassignedDefinite,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    n: int,
-    rng: np.random.Generator,
-) -> PairCounts:
-    """Vectorized preassigned sampling. Draw order: hidden configuration,
-    then (probabilistic rule only) electron uniforms, positron uniforms."""
-    config = np.where(rng.random(n) < 0.5, 1, -1)
-    az = float(a.vector[2])
-    bz = float(b.vector[2])
-    if model.rule == "deterministic":
-        electron = _sign_plus(config * az)
-        positron = _sign_plus(-config * bz)
-    else:
-        p_e = (1.0 + config * az) / 2.0
-        p_p = (1.0 - config * bz) / 2.0
-        electron = np.where(rng.random(n) < p_e, 1, -1)
-        positron = np.where(rng.random(n) < p_p, 1, -1)
-    return _tally(electron, positron)
-
-
-def _tally(electron: np.ndarray, positron: np.ndarray) -> PairCounts:
-    e_up = electron > 0
-    p_up = positron > 0
-    return PairCounts(
-        up_up=int(np.sum(e_up & p_up)),
-        up_down=int(np.sum(e_up & ~p_up)),
-        down_up=int(np.sum(~e_up & p_up)),
-        down_down=int(np.sum(~e_up & ~p_up)),
-    )
+    if isinstance(model, QuantumEntangled):
+        electron = expand_bipartite(singlet(), spin_operator(a))
+        down_b, up_b = eigengroups(spin_operator(b))
+        law = []
+        for k in (1, 0):  # electron up, then electron down
+            remote = electron.remote_state(k).amplitudes
+            for group in (up_b, down_b):
+                born = np.sum(np.abs(group.basis.conj().T @ remote) ** 2)
+                law.append(electron.group_probabilities[k] * born)
+        return np.array(law)
+    az, bz = np.clip([a.vector[2], b.vector[2]], -1.0, 1.0)
+    law = np.zeros(4)
+    for config in (1, -1):
+        if model.rule == "deterministic":
+            p_e = float(config * az >= 0.0)
+            p_p = float(-config * bz >= 0.0)
+        else:
+            p_e = (1.0 + config * az) / 2.0
+            p_p = (1.0 - config * bz) / 2.0
+        law += 0.5 * np.outer([p_e, 1.0 - p_e], [p_p, 1.0 - p_p]).ravel()
+    return law
 
 
 def sample_pairs(
@@ -332,12 +308,11 @@ def sample_pairs(
     n: int,
     rng: np.random.Generator,
 ) -> PairCounts:
-    """Tally n pairs drawn from one stream (vectorized)."""
+    """Tally n pairs drawn from one stream: one multinomial draw from the
+    exact joint law, identical in law to n calls of sample_pair."""
     if n < 1:
         raise ValueError("need at least one pair")
-    if isinstance(model, QuantumEntangled):
-        return _entangled_block(a, b, n, rng)
-    return _preassigned_block(model, a, b, n, rng)
+    return PairCounts(*map(int, rng.multinomial(n, joint_law(model, a, b))))
 
 
 def _block_sizes(n: int, block_size: int) -> list[int]:
@@ -347,14 +322,13 @@ def _block_sizes(n: int, block_size: int) -> list[int]:
     return sizes
 
 
-def _run_blocks(kernel, sizes, seed, stream_offset, workers):
-    def run(i: int):
-        return kernel(sizes[i], make_stream(seed, stream_offset + i))
-
-    if workers <= 1:
-        return [run(i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(sizes))))
+def _per_block(draw, n: int, seed: int, stream_offset: int, block_size: int):
+    """draw(size, rng) for each fixed block of n, in order; block i draws
+    from the stream derived from (seed, stream_offset + i)."""
+    return [
+        draw(size, make_stream(seed, stream_offset + i))
+        for i, size in enumerate(_block_sizes(n, block_size))
+    ]
 
 
 def pair_counts_blocked(
@@ -370,24 +344,22 @@ def pair_counts_blocked(
 ) -> PairCounts:
     """Tally n pairs split into fixed blocks with one stream per block.
 
-    Block i draws from the stream derived from (seed, stream_offset + i)
-    regardless of which worker runs it, and blocks aggregate by exact
-    integer sums, so the result is byte-identical for any worker count.
+    The joint law is worked out once; block i then draws its tallies as
+    one multinomial from the stream derived from (seed, stream_offset +
+    i), and blocks aggregate by exact integer sums. workers is accepted
+    for compatibility and changes nothing.
     """
     if n < 1:
         raise ValueError("need at least one pair")
-    sizes = _block_sizes(n, block_size)
-    counts = _run_blocks(
-        lambda size, rng: sample_pairs(model, a, b, size, rng),
-        sizes,
+    law = joint_law(model, a, b)
+    blocks = _per_block(
+        lambda size, rng: rng.multinomial(size, law),
+        n,
         seed,
         stream_offset,
-        workers,
+        block_size,
     )
-    total = PairCounts()
-    for c in counts:
-        total = total + c
-    return total
+    return PairCounts(*map(int, sum(blocks)))
 
 
 def correlation(
@@ -420,42 +392,57 @@ def chsh(
     )
 
 
-def _switch_block(
-    model: PairModel, mode: str, n: int, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Electron-up and positron-down counts for one block.
+def chsh_blocked(
+    model: PairModel,
+    a: AnalyzerSetting,
+    a2: AnalyzerSetting,
+    b: AnalyzerSetting,
+    b2: AnalyzerSetting,
+    n: int,
+    seed: int,
+) -> tuple[PairCounts, PairCounts, PairCounts, PairCounts]:
+    """Blocked tallies of the CHSH correlations (a,b), (a,b2), (a2,b),
+    (a2,b2), n pairs each; correlation j uses the stream indices from
+    j * ceil(n / DEFAULT_BLOCK_SIZE), disjoint ranges of one seed."""
+    blocks_per = -(-n // DEFAULT_BLOCK_SIZE)
+    return tuple(
+        pair_counts_blocked(model, sa, sb, n, seed, stream_offset=j * blocks_per)
+        for j, (sa, sb) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2)))
+    )
 
-    predicted mode emits the protocol's claimed outcome tables: the
-    entangled source yields electron up and positron down every time;
-    the preassigned source yields electron up half the time (sampled)
-    and positron down every time. mechanistic mode simulates the device:
-    it measures the positron along z, flips up to down before detection,
-    and only then is the electron measured along z.
+
+def _switch_electron_up(model: PairModel, mode: str) -> float:
+    """Probability that the switch protocol detects the electron up.
+
+    predicted mode is the protocol's claimed outcome table: electron up
+    every time for the entangled source, half the time for the
+    preassigned one. mechanistic mode simulates the device: it measures
+    the positron along z, flips up to down before detection, and only
+    then is the electron measured along z. Either way the positron is
+    detected down every time.
     """
-    if isinstance(model, QuantumEntangled):
-        if mode == "predicted":
-            return n, n
-        # Mechanistic: positron measured first (along z), collapsing the
-        # singlet; the flip changes the detected positron value, not the
-        # collapsed state the electron is measured on.
-        positron_first = singlet()
-        swapped = BipartiteState(
-            positron_first.amps.T.copy(),
-            positron_first.labels_ii,
-            positron_first.labels_i,
-        )
-        expansion = expand_bipartite(swapped, sigma_z())
-        probs = expansion.group_probabilities
-        remotes = [expansion.remote_state(k) for k in range(probs.size)]
-        p_up = np.array([float(np.abs(r.amplitudes[0]) ** 2) for r in remotes])
-        hi = (rng.random(n) < probs[1]).astype(int)
-        electron_up = int(np.sum(rng.random(n) < p_up[hi]))
-        return electron_up, n
-    config = np.where(rng.random(n) < 0.5, 1, -1)
-    electron_up = int(np.sum(config > 0))
-    # Either mode: the positron's definite (or collapsed) value is
-    # flipped to down when up, so detection reads down always.
-    return electron_up, n
+    if isinstance(model, PreassignedDefinite):
+        # Either mode: the electron keeps the definite value its hidden
+        # configuration gave it.
+        return 0.5
+    if mode == "predicted":
+        return 1.0
+    # Mechanistic: the positron, measured first along z, collapses the
+    # singlet; the flip changes the detected positron value, not the
+    # collapsed state the electron is then measured on.
+    swapped = BipartiteState(singlet().amps.T.copy())
+    expansion = expand_bipartite(swapped, sigma_z())
+    return sum(
+        float(p * np.abs(expansion.remote_state(k).amplitudes[0]) ** 2)
+        for k, p in enumerate(expansion.group_probabilities)
+    )
+
+
+def _check_switch(mode: str, n: int) -> None:
+    if mode not in SWITCH_MODES:
+        raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
+    if n < 1:
+        raise ValueError("need at least one pair")
 
 
 def switch_protocol(
@@ -469,16 +456,13 @@ def switch_protocol(
     measure-then-flip collapse. For the entangled source the two
     disagree on the electron, and the report's note says so.
     """
-    if mode not in SWITCH_MODES:
-        raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
-    if n < 1:
-        raise ValueError("need at least one pair")
-    electron_up, positron_down = _switch_block(model, mode, n, rng)
-    return _switch_report(model, mode, n, electron_up, positron_down)
+    _check_switch(mode, n)
+    electron_up = int(rng.binomial(n, _switch_electron_up(model, mode)))
+    return _switch_report(model, mode, n, electron_up)
 
 
 def _switch_report(
-    model: PairModel, mode: str, n: int, electron_up: int, positron_down: int
+    model: PairModel, mode: str, n: int, electron_up: int
 ) -> SwitchReport:
     note = ""
     if mode == "mechanistic" and isinstance(model, QuantumEntangled):
@@ -486,7 +470,7 @@ def _switch_report(
     return SwitchReport(
         n_pairs=n,
         n_electron_up=electron_up,
-        n_positron_down=positron_down,
+        n_positron_down=n,
         mode=mode,
         note=note,
     )
@@ -502,31 +486,26 @@ def switch_protocol_blocked(
     workers: int = 1,
     stream_offset: int = 0,
 ) -> SwitchReport:
-    """Blocked, worker-count-independent variant of switch_protocol."""
-    if mode not in SWITCH_MODES:
-        raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
-    if n < 1:
-        raise ValueError("need at least one pair")
-    sizes = _block_sizes(n, block_size)
-    results = _run_blocks(
-        lambda size, rng: _switch_block(model, mode, size, rng),
-        sizes,
+    """Blocked variant of switch_protocol: one binomial draw per block,
+    from the block's own stream. workers is accepted for compatibility
+    and changes nothing."""
+    _check_switch(mode, n)
+    p = _switch_electron_up(model, mode)
+    blocks = _per_block(
+        lambda size, rng: int(rng.binomial(size, p)),
+        n,
         seed,
         stream_offset,
-        workers,
+        block_size,
     )
-    electron_up = sum(r[0] for r in results)
-    positron_down = sum(r[1] for r in results)
-    return _switch_report(model, mode, n, electron_up, positron_down)
+    return _switch_report(model, mode, n, sum(blocks))
 
 
-def untangle(psi: BipartiteState, rng: np.random.Generator) -> BipartiteState:
-    """Map the singlet to a definite product state on separation.
+def untangle_branches(psi: BipartiteState) -> tuple[BipartiteState, ...]:
+    """The two product states untangle maps the singlet to, up-down and
+    down-up, over the input's bases.
 
-    Returns up-down or down-up (each with probability 1/2) as a product
-    state over the input's bases; feeding the outputs into parallel-axis
-    sampling reproduces the preassigned model's statistics exactly. Any
-    global phase on the input is ignored; anything that is not the
+    Any global phase on the input is ignored; anything that is not the
     singlet is rejected.
     """
     if psi.dims != (2, 2):
@@ -535,9 +514,34 @@ def untangle(psi: BipartiteState, rng: np.random.Generator) -> BipartiteState:
     overlap = complex(np.vdot(reference, psi.amps))
     if 1.0 - abs(overlap) > 1e-9:
         raise ValueError("untangle is defined only for the singlet state")
-    amps = np.zeros((2, 2))
-    if rng.random() < 0.5:
-        amps[0, 1] = 1.0
-    else:
-        amps[1, 0] = 1.0
-    return BipartiteState(amps, psi.labels_i, psi.labels_ii)
+    return tuple(
+        BipartiteState(np.array(amps), psi.labels_i, psi.labels_ii)
+        for amps in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
+    )
+
+
+def untangle(psi: BipartiteState, rng: np.random.Generator) -> BipartiteState:
+    """Map the singlet to a definite product state on separation.
+
+    Returns up-down or down-up, each with probability 1/2 from one
+    uniform draw; feeding the outputs into parallel-axis sampling
+    reproduces the preassigned model's statistics exactly.
+    """
+    up_down, down_up = untangle_branches(psi)
+    return up_down if rng.random() < 0.5 else down_up
+
+
+def untangle_counts(
+    psi: BipartiteState, n: int, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Up-down and down-up tallies of n untangle draws on psi.
+
+    Reads the same uniforms, in the same order, as n calls of
+    untangle(psi, rng), in fixed chunks so memory stays bounded.
+    """
+    untangle_branches(psi)
+    up_down = sum(
+        int(np.count_nonzero(rng.random(size) < 0.5))
+        for size in _block_sizes(n, DEFAULT_BLOCK_SIZE)
+    )
+    return up_down, n - up_down

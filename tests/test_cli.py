@@ -13,7 +13,16 @@ import sys
 
 import pytest
 
-from eprlab.cli import main
+from eprlab.cli import (
+    COMMUTATOR_MAX_POINTS,
+    EPR_MAX_POINTS,
+    build_parser,
+    main,
+    resolve_settings,
+    run_untangle,
+)
+from eprlab.rng import make_stream
+from eprlab.spinlab import singlet, untangle
 
 
 def run_cli(argv):
@@ -121,6 +130,20 @@ def test_untangle_document():
     assert results["max_residual_schmidt_weight"] <= 1e-12
 
 
+def test_run_untangle_matches_per_draw_loop():
+    # The untangle document tallies chunked draws; it must read the
+    # stream exactly as one untangle call per draw does, also across a
+    # chunk boundary (65536 draws).
+    for seed, n in ((0, 65_540), (1, 2_000), (2, 2_000)):
+        rng = make_stream(seed, 0)
+        state = singlet()
+        looped = sum(untangle(state, rng).amps[0, 1] == 1.0 for _ in range(n))
+        doc = run_untangle({"command": "untangle", "seed": seed, "samples": n})
+        assert doc["results"]["up_down"] == looped
+        assert doc["results"]["down_up"] == n - looped
+        assert doc["results"]["max_residual_schmidt_weight"] == 0.0
+
+
 def test_csv_format_is_flat_and_stable():
     code, text = run_cli(
         ["singlet-correlation", "--samples", "1000", "--format", "csv"]
@@ -165,6 +188,49 @@ def test_validation_errors_exit_2(capsys):
     # Library-level validation surfaces the same way.
     assert run_cli(["epr", "--length", "2"])[0] == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epr", "--x0", "nan"],
+        ["commutator-check", "--length", "inf"],
+        ["hydrogen", "--r-max", "inf", "--max-n", "1", "--ortho-max-n", "1"],
+        ["singlet-correlation", "--model", "p2", "--angles", "nan,0"],
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, cap, grid",
+    [
+        ("epr", EPR_MAX_POINTS, "UniformGrid2D"),
+        ("commutator-check", COMMUTATOR_MAX_POINTS, "UniformGrid1D"),
+    ],
+)
+def test_grid_points_above_cap_exit_2_before_allocating(
+    command, cap, grid, monkeypatch, capsys
+):
+    # The caps admit the benchmark's largest grids.
+    assert (EPR_MAX_POINTS, COMMUTATOR_MAX_POINTS) == (2048, 2049)
+    at_cap = resolve_settings(
+        build_parser().parse_args([command, "--points", str(cap)])
+    )
+    assert at_cap["points"] == cap
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built for a rejected size")
+
+    monkeypatch.setattr(f"eprlab.grids.{grid}", refuse)
+    code, out = run_cli([command, "--points", str(cap + 1)])
+    assert code == 2
+    assert out == ""
+    assert f"at most {cap}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

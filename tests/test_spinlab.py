@@ -24,8 +24,11 @@ from eprlab.spinlab import (
     PairOutcome,
     PreassignedDefinite,
     QuantumEntangled,
+    _switch_electron_up,
     chsh,
+    chsh_blocked,
     correlation,
+    joint_law,
     pair_counts_blocked,
     sample_pair,
     sample_pairs,
@@ -59,6 +62,29 @@ def preassigned_deterministic_oracle(a, b):
     return total / 2.0
 
 
+def preassigned_law_oracle(a, b, rule):
+    # Brute force over the four joint outcomes and the two hidden
+    # configurations, one rule at a time.
+    az, bz = a.vector[2], b.vector[2]
+    law = []
+    for electron, positron in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        total = 0.0
+        for c in (1.0, -1.0):
+            if rule == "deterministic":
+                e_up = c * az >= 0.0
+                p_up = -c * bz >= 0.0
+                weight = float(e_up == (electron > 0) and p_up == (positron > 0))
+            else:
+                e_up = (1.0 + c * az) / 2.0
+                p_up = (1.0 - c * bz) / 2.0
+                weight = (e_up if electron > 0 else 1.0 - e_up) * (
+                    p_up if positron > 0 else 1.0 - p_up
+                )
+            total += weight / 2.0
+        law.append(total)
+    return law
+
+
 def test_singlet_amplitudes():
     state = singlet()
     flat = state.flatten().amplitudes
@@ -78,6 +104,9 @@ def test_singlet_zz_expectation():
 def test_analyzer_setting_validation():
     with pytest.raises(ValueError):
         AnalyzerSetting(np.array([1.0, 1.0, 0.0]))
+    for bad in ([np.nan, 0.0, 0.0], [0.0, 0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            AnalyzerSetting(np.array(bad))
     s = AnalyzerSetting.from_degrees(90.0, 90.0)
     np.testing.assert_allclose(s.vector, [0.0, 1.0, 0.0], atol=1e-12)
 
@@ -175,6 +204,35 @@ def test_preassigned_deterministic_matches_bruteforce_oracle():
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
+def test_joint_laws_match_closed_forms():
+    rng = np.random.default_rng(31)
+    pairs = [
+        tuple(
+            AnalyzerSetting.from_degrees(rng.uniform(0.0, 180.0), rng.uniform(0.0, 360.0))
+            for _ in range(2)
+        )
+        for _ in range(20)
+    ]
+    # Exactly zero z-components, where the sign rule's tie-break decides.
+    equator = AnalyzerSetting(np.array([1.0, 0.0, 0.0]))
+    pairs += [(equator, equator), (equator, Z), (Z, equator)]
+    for a, b in pairs:
+        ab = a.dot(b)
+        np.testing.assert_allclose(
+            joint_law(QuantumEntangled(), a, b),
+            [(1.0 - ab) / 4.0, (1.0 + ab) / 4.0, (1.0 + ab) / 4.0, (1.0 - ab) / 4.0],
+            rtol=0.0,
+            atol=1e-12,
+        )
+        for rule in ("deterministic", "probabilistic"):
+            np.testing.assert_allclose(
+                joint_law(PreassignedDefinite(rule), a, b),
+                preassigned_law_oracle(a, b, rule),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+
 def test_preassigned_probabilistic_matches_projection_oracle():
     rng = np.random.default_rng(18)
     model = PreassignedDefinite(rule="probabilistic")
@@ -217,6 +275,17 @@ def test_chsh_degenerate_settings():
     s = chsh(QuantumEntangled(), Z, Z, b, b, n, rng)
     expected = 2.0 * (-Z.dot(b))
     assert abs(s - expected) <= 4.0 * 4.0 / np.sqrt(n)
+
+
+def test_chsh_blocked_uses_disjoint_stream_ranges():
+    a, a2, b, b2 = CHSH_OPTIMAL
+    n = 70_000  # two blocks per correlation
+    counts = chsh_blocked(QuantumEntangled(), a, a2, b, b2, n, seed=5)
+    for j, (sa, sb) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2))):
+        expected = pair_counts_blocked(
+            QuantumEntangled(), sa, sb, n, seed=5, stream_offset=2 * j
+        )
+        assert counts[j] == expected
 
 
 def test_blocked_counts_independent_of_workers():
@@ -289,6 +358,11 @@ def test_switch_mechanistic_preassigned():
     assert report.p_positron_down == 1.0
     assert abs(report.p_electron_up - 0.5) <= 4.0 / np.sqrt(n)
     assert report.note == ""
+
+
+def test_switch_mechanistic_entangled_probability_is_half():
+    p = _switch_electron_up(QuantumEntangled(), "mechanistic")
+    assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_switch_blocked_independent_of_workers():
