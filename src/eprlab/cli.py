@@ -11,7 +11,8 @@ in fixed-size blocks with one random stream per block index, so
 --workers, accepted for compatibility, changes nothing.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or validation
-error.
+error, or a result holding a non-finite number (NaN or infinity), which
+no document may contain.
 """
 
 from __future__ import annotations
@@ -118,13 +119,20 @@ P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", RULE_CHOICES),
                  "deterministic",
                  "p2 response rule: deterministic sign rule or "
                  "probabilistic projection rule")
-SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1),
+# Pairs and draws are sampled in 65536-sized blocks, one at a time; the
+# cap is 2^20 blocks. On a 2-CPU machine that is about 40 s per pair
+# tally (35 us per block) and about 6 min of untangle draws.
+MAX_SAMPLES = 2**36
+
+SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
                  100_000, "number of pairs to sample")
 
 # epr holds points^2 complex grids; commutator-check builds a dense
-# (2 points)^2 complex matrix at its refined level, 269 MB at the cap.
+# (2 points)^2 complex matrix at its refined level, 269 MB at the cap;
+# hydrogen holds a few radial arrays of 8 MB each at its cap.
 EPR_MAX_POINTS = 2048
 COMMUTATOR_MAX_POINTS = 2049
+HYDROGEN_MAX_POINTS = 2**20
 
 # Presentation and execution knobs, excluded from the config echo so
 # that the same experiment produces the same bytes everywhere.
@@ -485,7 +493,8 @@ COMMANDS: dict[str, CommandSpec] = {
             Option("r_max", "--r-max", _float_value("--r-max", positive=True),
                    None, "radial grid extent in Bohr radii "
                          "(default: per-orbital 40 n^2)"),
-            Option("points", "--points", _int_in_range("--points", 5), None,
+            Option("points", "--points",
+                   _int_in_range("--points", 5, HYDROGEN_MAX_POINTS), None,
                    "radial grid points (default 4096)"),
         ),
         run_hydrogen,
@@ -562,8 +571,9 @@ COMMANDS: dict[str, CommandSpec] = {
     "untangle": CommandSpec(
         "map singlets to definite product states and tally the branches",
         (
-            Option("samples", "--samples", _int_in_range("--samples", 1),
-                   1_000, "number of untangle draws"),
+            Option("samples", "--samples",
+                   _int_in_range("--samples", 1, MAX_SAMPLES), 1_000,
+                   "number of untangle draws"),
         ),
         run_untangle,
     ),
@@ -667,6 +677,8 @@ def _scalar_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not allowed: {value!r}")
         return repr(value)
     return str(value)
 
@@ -674,7 +686,7 @@ def _scalar_text(value) -> str:
 def render(payload: dict, output_format: str) -> str:
     payload = _native(payload)
     if output_format == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten(payload, "", rows)
     buffer = io.StringIO()
@@ -701,9 +713,11 @@ def main(argv: list[str] | None = None) -> int:
         settings = resolve_settings(args)
         try:
             payload = COMMANDS[settings["command"]].handler(settings)
+            # A non-finite result cannot be rendered: JSON (RFC 8259)
+            # has no NaN or Infinity.
+            text = render(payload, settings["format"])
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        text = render(payload, settings["format"])
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

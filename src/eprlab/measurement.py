@@ -6,11 +6,17 @@ state and leaves system II in a definite remote state. Expanding the
 same joint state in two different eigenbases yields two different
 remote-state assignments for the same unmeasured system, which is the
 tension these tools are built to exhibit.
+
+Expansions and collapses are memoized on the immutable objects they
+come from: a joint state keeps its expansion in the last observable it
+was expanded in, and an expansion keeps the measurement each outcome
+leads to. A per-shot measurement then costs one Born draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +45,14 @@ __all__ = [
 RANK_RTOL = 1e-9
 
 
+class SubsystemMeasurement(NamedTuple):
+    """Result of measuring an observable on system I of a joint state."""
+
+    eigenvalue: float
+    collapsed: BipartiteState
+    remote: StateVector
+
+
 @dataclass(frozen=True, eq=False)
 class ExpansionResult:
     """Expansion of a joint state in a subsystem-I eigenbasis.
@@ -58,6 +72,8 @@ class ExpansionResult:
     group_slices: tuple[slice, ...]
     group_eigenvalues: np.ndarray
     group_probabilities: np.ndarray
+    labels_i: tuple[str, ...] = ()
+    labels_ii: tuple[str, ...] = ()
 
     @property
     def n_outcomes(self) -> int:
@@ -66,6 +82,36 @@ class ExpansionResult:
     def reconstruct(self) -> np.ndarray:
         """Sum of outer products u_n (x) coeff_n; equals the input amps."""
         return self.basis @ self.coefficients
+
+    @cached_property
+    def outcome_probabilities(self) -> np.ndarray:
+        """group_probabilities renormalized to sum to 1, for sampling."""
+        probs = self.group_probabilities / self.group_probabilities.sum()
+        probs.setflags(write=False)
+        return probs
+
+    @cached_property
+    def _measurements(self) -> list[SubsystemMeasurement | None]:
+        return [None] * self.n_outcomes
+
+    def measurement(self, outcome: int) -> SubsystemMeasurement:
+        """Eigenvalue, collapsed joint state and remote state of one
+        outcome group, worked out on first request and then reused."""
+        memo = self._measurements
+        found = memo[outcome]
+        if found is None:
+            remote = self._remote_state(outcome)
+            block = self.group_slices[outcome]
+            collapsed = BipartiteState(
+                self.basis[:, block] @ self.coefficients[block],
+                self.labels_i,
+                self.labels_ii,
+            )
+            found = SubsystemMeasurement(
+                float(self.group_eigenvalues[outcome]), collapsed, remote
+            )
+            memo[outcome] = found
+        return found
 
     def remote_state(self, outcome: int) -> StateVector:
         """Normalized system-II state left by the given outcome group.
@@ -76,27 +122,22 @@ class ExpansionResult:
         is not, system II stays entangled with system I and the request
         is an error.
         """
+        return self.measurement(outcome).remote
+
+    def _remote_state(self, outcome: int) -> StateVector:
         block = self.coefficients[self.group_slices[outcome]]
         if float(np.linalg.norm(block)) <= 1e-15:
             raise ValueError(f"outcome {outcome} has zero probability")
         if block.shape[0] == 1:
             return StateVector(block[0])
-        singular = np.linalg.svd(block, compute_uv=False)
+        _, singular, vh = np.linalg.svd(block)
         if singular[1] > RANK_RTOL * singular[0]:
             raise ValueError(
                 "degenerate outcome leaves system II entangled with system I; "
                 "no single remote state exists"
             )
-        _, _, vh = np.linalg.svd(block)
-        return StateVector(vh[0].conj())
-
-
-class SubsystemMeasurement(NamedTuple):
-    """Result of measuring an observable on system I of a joint state."""
-
-    eigenvalue: float
-    collapsed: BipartiteState
-    remote: StateVector
+        # Rank one: every row of the block is a multiple of vh[0].
+        return StateVector(vh[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +165,14 @@ def expand_bipartite(psi: BipartiteState, a: LinearOperator) -> ExpansionResult:
     Writes amps[m][j] = sum_n u_n[m] coeff_n[j] with u_n the eigenvectors
     of a; coeff_n[j] = sum_m conj(u_n[m]) amps[m][j]. The squared norms
     of the coefficient vectors are the Born probabilities, accumulated
-    per degenerate eigenspace.
+    per degenerate eigenspace. The state keeps its expansion in the last
+    observable it was expanded in, so repeats return the same read-only
+    result.
     """
     _check_subsystem_op(psi, a)
+    last = vars(psi).get("_last_expansion")
+    if last is not None and last[0] is a:
+        return last[1]
     groups = eigengroups(a)
     basis = np.concatenate([g.basis for g in groups], axis=1)
     eigenvalues = np.concatenate(
@@ -143,15 +189,27 @@ def expand_bipartite(psi: BipartiteState, a: LinearOperator) -> ExpansionResult:
     group_probabilities = np.array(
         [float(np.sum(probabilities[s])) for s in slices]
     )
-    return ExpansionResult(
+    group_eigenvalues = np.array([g.value for g in groups])
+    for array in (
+        eigenvalues, basis, coefficients, probabilities,
+        group_eigenvalues, group_probabilities,
+    ):
+        array.setflags(write=False)
+    result = ExpansionResult(
         eigenvalues=eigenvalues,
         basis=basis,
         coefficients=coefficients,
         probabilities=probabilities,
         group_slices=tuple(slices),
-        group_eigenvalues=np.array([g.value for g in groups]),
+        group_eigenvalues=group_eigenvalues,
         group_probabilities=group_probabilities,
+        labels_i=psi.labels_i,
+        labels_ii=psi.labels_ii,
     )
+    # One slot, not a map: a shared state such as the singlet meets a
+    # new operator for every analyzer setting.
+    vars(psi)["_last_expansion"] = (a, result)
+    return result
 
 
 def measure_subsystem(
@@ -161,19 +219,13 @@ def measure_subsystem(
 
     Samples an outcome eigenspace with its expansion probability,
     projects the joint state onto it (renormalized), and extracts the
-    remote system-II state the collapse leaves behind.
+    remote system-II state the collapse leaves behind. Both expansion
+    and per-outcome collapse are memoized, so repeated shots on the same
+    (psi, a) cost one draw each.
     """
     expansion = expand_bipartite(psi, a)
-    probs = expansion.group_probabilities
-    probs = probs / probs.sum()
-    k = int(rng.choice(expansion.n_outcomes, p=probs))
-    block = expansion.group_slices[k]
-    collapsed_amps = expansion.basis[:, block] @ expansion.coefficients[block]
-    collapsed = BipartiteState(collapsed_amps, psi.labels_i, psi.labels_ii)
-    remote = expansion.remote_state(k)
-    return SubsystemMeasurement(
-        float(expansion.group_eigenvalues[k]), collapsed, remote
-    )
+    k = int(rng.choice(expansion.n_outcomes, p=expansion.outcome_probabilities))
+    return expansion.measurement(k)
 
 
 def remote_state_pair(

@@ -5,11 +5,17 @@ measurement, and unitary time evolution, all dense and at desk scale
 (dimensions up to a few dozen). Everything is immutable after
 construction and safe to share between threads; randomness enters only
 through explicitly passed generators.
+
+Objects also hold lazily filled, read-only caches of work derived from
+them: a Hermitian operator's eigendecomposition is computed on first
+use and reused, and the Pauli operators are shared instances. Two
+threads racing to fill a cache at worst compute the same value twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -119,6 +125,18 @@ class LinearOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors (columns), read-only."""
+        values, vectors = np.linalg.eigh(self.entries)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
+
+    @cached_property
+    def _eigengroups(self) -> tuple[EigenGroup, ...]:
+        return _cluster(*self._spectrum, DEGENERACY_RTOL)
+
     def kron(self, other: LinearOperator) -> LinearOperator:
         """Tensor (Kronecker) product acting on the joint space."""
         return LinearOperator(
@@ -142,7 +160,9 @@ class BipartiteState:
     """Joint state of two subsystems as a dI x dII amplitude matrix.
 
     Rows index subsystem one, columns subsystem two. The Frobenius norm
-    is fixed to 1 on construction.
+    is fixed to 1 on construction. measurement.expand_bipartite keeps
+    the state's expansion in the last observable it was expanded in on
+    the instance.
     """
 
     amps: np.ndarray
@@ -243,27 +263,35 @@ def is_eigenstate(
     return None
 
 
-def eigengroups(op: LinearOperator, rtol: float = DEGENERACY_RTOL) -> list[EigenGroup]:
-    """Eigen-decompose a Hermitian operator into clustered eigenspaces.
-
-    Eigenvalues closer than rtol * max|eigenvalue| are merged into one
-    group, because Born probabilities belong to eigenspaces, not to the
-    arbitrary eigenvectors a solver picks inside a degenerate block.
-    Groups are returned in ascending eigenvalue order.
-    """
-    if not op.hermitian:
-        raise ValueError("eigen-decomposition by eigenspace requires a Hermitian operator")
-    values, vectors = np.linalg.eigh(op.entries)
+def _cluster(
+    values: np.ndarray, vectors: np.ndarray, rtol: float
+) -> tuple[EigenGroup, ...]:
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     gap = rtol * scale
-    groups: list[EigenGroup] = []
+    groups = []
     start = 0
     for i in range(1, values.size + 1):
         if i == values.size or values[i] - values[i - 1] > gap:
             block = vectors[:, start:i]
             groups.append(EigenGroup(float(np.mean(values[start:i])), block))
             start = i
-    return groups
+    return tuple(groups)
+
+
+def eigengroups(op: LinearOperator, rtol: float = DEGENERACY_RTOL) -> list[EigenGroup]:
+    """Eigen-decompose a Hermitian operator into clustered eigenspaces.
+
+    Eigenvalues closer than rtol * max|eigenvalue| are merged into one
+    group, because Born probabilities belong to eigenspaces, not to the
+    arbitrary eigenvectors a solver picks inside a degenerate block.
+    Groups are returned in ascending eigenvalue order. The operator's
+    decomposition is computed once and its bases are read-only.
+    """
+    if not op.hermitian:
+        raise ValueError("eigen-decomposition by eigenspace requires a Hermitian operator")
+    if rtol == DEGENERACY_RTOL:
+        return list(op._eigengroups)
+    return list(_cluster(*op._spectrum, rtol))
 
 
 def measure_observable(
@@ -279,7 +307,7 @@ def measure_observable(
     if not op.hermitian:
         raise ValueError("measurement requires a Hermitian observable")
     _require_same_dim(op, s)
-    groups = eigengroups(op)
+    groups = op._eigengroups
     coords = [g.basis.conj().T @ s.amplitudes for g in groups]
     probs = np.array([float(np.sum(np.abs(c) ** 2)) for c in coords])
     probs = probs / probs.sum()
@@ -298,7 +326,7 @@ def evolve(h: LinearOperator, t: float, s: StateVector) -> StateVector:
     if not h.hermitian:
         raise ValueError("time evolution requires a Hermitian Hamiltonian")
     _require_same_dim(h, s)
-    values, vectors = np.linalg.eigh(h.entries)
+    values, vectors = h._spectrum
     phases = np.exp(-1j * values * t / HBAR)
     evolved = vectors @ (phases * (vectors.conj().T @ s.amplitudes))
     return StateVector(evolved, s.basis_labels)
@@ -332,13 +360,19 @@ def identity(dim: int) -> LinearOperator:
     return LinearOperator(np.eye(dim, dtype=complex), hermitian=True)
 
 
+@cache
 def sigma_x() -> LinearOperator:
+    """Pauli x, one shared instance built on first use."""
     return LinearOperator(np.array([[0, 1], [1, 0]], dtype=complex), hermitian=True)
 
 
+@cache
 def sigma_y() -> LinearOperator:
+    """Pauli y, one shared instance built on first use."""
     return LinearOperator(np.array([[0, -1j], [1j, 0]], dtype=complex), hermitian=True)
 
 
+@cache
 def sigma_z() -> LinearOperator:
+    """Pauli z, one shared instance built on first use."""
     return LinearOperator(np.array([[1, 0], [0, -1]], dtype=complex), hermitian=True)

@@ -21,12 +21,17 @@ Tallies are drawn as one multinomial from each setting's exact joint
 law (for the entangled model, through the singlet's expansion and
 collapse); sample_pair is the per-pair route they are checked against.
 The *_blocked variants draw fixed-size blocks from one derived stream
-each, so a fixed seed reproduces every count exactly.
+each, so a fixed seed reproduces every count exactly. An analyzer
+setting builds its spin operator once and singlet() is one shared
+state, so repeated per-pair calls reuse one decomposition and one
+expansion per setting.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -141,6 +146,15 @@ class AnalyzerSetting:
     def dot(self, other: AnalyzerSetting) -> float:
         return float(self.vector @ other.vector)
 
+    @cached_property
+    def _operator(self) -> LinearOperator:
+        """Spin observable a . sigma along this direction, built once."""
+        ax, ay, az = self.vector
+        entries = (
+            ax * sigma_x().entries + ay * sigma_y().entries + az * sigma_z().entries
+        )
+        return LinearOperator(entries, hermitian=True)
+
 
 @dataclass(frozen=True)
 class PairOutcome:
@@ -216,19 +230,18 @@ class SwitchReport:
         return self.n_positron_down / self.n_pairs
 
 
+@cache
 def singlet() -> BipartiteState:
-    """The two-spin singlet (up down - down up) / sqrt(2)."""
+    """The two-spin singlet (up down - down up) / sqrt(2), one shared
+    instance built on first use."""
     amps = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
     return BipartiteState(amps, ("up", "down"), ("up", "down"))
 
 
 def spin_operator(setting: AnalyzerSetting) -> LinearOperator:
-    """Spin observable along the analyzer direction: a . sigma."""
-    ax, ay, az = setting.vector
-    entries = (
-        ax * sigma_x().entries + ay * sigma_y().entries + az * sigma_z().entries
-    )
-    return LinearOperator(entries, hermitian=True)
+    """Spin observable along the analyzer direction: a . sigma, the
+    setting's own cached instance."""
+    return setting._operator
 
 
 def _sign_plus(x: float) -> int:
@@ -315,20 +328,21 @@ def sample_pairs(
     return PairCounts(*map(int, rng.multinomial(n, joint_law(model, a, b))))
 
 
-def _block_sizes(n: int, block_size: int) -> list[int]:
-    sizes = [block_size] * (n // block_size)
-    if n % block_size:
-        sizes.append(n % block_size)
-    return sizes
+def _block_sizes(n: int, block_size: int):
+    """Sizes of the fixed blocks covering n, yielded lazily."""
+    full, rest = divmod(n, block_size)
+    yield from itertools.repeat(block_size, full)
+    if rest:
+        yield rest
 
 
 def _per_block(draw, n: int, seed: int, stream_offset: int, block_size: int):
-    """draw(size, rng) for each fixed block of n, in order; block i draws
-    from the stream derived from (seed, stream_offset + i)."""
-    return [
+    """draw(size, rng) for each fixed block of n, in order and lazily;
+    block i draws from the stream derived from (seed, stream_offset + i)."""
+    return (
         draw(size, make_stream(seed, stream_offset + i))
         for i, size in enumerate(_block_sizes(n, block_size))
-    ]
+    )
 
 
 def pair_counts_blocked(

@@ -6,6 +6,7 @@ and across worker counts.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -14,8 +15,11 @@ import sys
 import pytest
 
 from eprlab.cli import (
+    COMMANDS,
     COMMUTATOR_MAX_POINTS,
     EPR_MAX_POINTS,
+    HYDROGEN_MAX_POINTS,
+    MAX_SAMPLES,
     build_parser,
     main,
     resolve_settings,
@@ -231,6 +235,70 @@ def test_grid_points_above_cap_exit_2_before_allocating(
     assert code == 2
     assert out == ""
     assert f"at most {cap}" in capsys.readouterr().err
+
+
+def test_hydrogen_points_above_cap_exit_2_before_allocating(monkeypatch, capsys):
+    # The cap sits far above the default 4096-point radial grid.
+    assert HYDROGEN_MAX_POINTS >= 256 * 4096
+    argv = ["hydrogen", "--points", str(HYDROGEN_MAX_POINTS)]
+    assert resolve_settings(build_parser().parse_args(argv))["points"] == (
+        HYDROGEN_MAX_POINTS
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a radial grid was built for a rejected size")
+
+    monkeypatch.setattr("eprlab.hydrogen.RadialGrid", refuse)
+    code, out = run_cli(["hydrogen", "--points", str(HYDROGEN_MAX_POINTS + 1)])
+    assert code == 2
+    assert out == ""
+    assert f"at most {HYDROGEN_MAX_POINTS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, sampler",
+    [
+        ("singlet-correlation", "pair_counts_blocked"),
+        ("chsh", "chsh_blocked"),
+        ("switch", "switch_protocol_blocked"),
+        ("untangle", "untangle_counts"),
+    ],
+)
+def test_samples_above_cap_exit_2_before_sampling(
+    command, sampler, monkeypatch, capsys
+):
+    # The cap sits far above the benchmark's 8,000,000 pairs.
+    assert MAX_SAMPLES >= 1000 * 8_000_000
+    argv = [command, "--samples", str(MAX_SAMPLES)]
+    assert resolve_settings(build_parser().parse_args(argv))["samples"] == (
+        MAX_SAMPLES
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling started for a rejected size")
+
+    monkeypatch.setattr(f"eprlab.spinlab.{sampler}", refuse)
+    code, out = run_cli([command, "--samples", str(MAX_SAMPLES + 1)])
+    assert code == 2
+    assert out == ""
+    assert f"at most {MAX_SAMPLES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_result_exits_2(output_format, value, monkeypatch, capsys):
+    spec = COMMANDS["untangle"]
+
+    def handler(settings):
+        document = spec.handler(settings)
+        document["results"]["max_residual_schmidt_weight"] = value
+        return document
+
+    monkeypatch.setitem(COMMANDS, "untangle", dataclasses.replace(spec, handler=handler))
+    code, out = run_cli(["untangle", "--samples", "10", "--format", output_format])
+    assert code == 2
+    assert out == ""
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,5 +1,8 @@
 """Unit tests for bipartite expansion, collapse, and simultaneity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -233,3 +236,84 @@ def test_commuting_pair_common_eigenbasis_all_pass():
             StateVector(vectors[:, k]), a, b, 1e-7
         )
         assert report.is_simultaneous
+
+
+def test_repeated_shots_run_eigh_once(count_calls):
+    rng = np.random.default_rng(20)
+    psi = random_bipartite(rng, 3, 4)
+    a = random_hermitian(rng, 3)
+    eigh_calls = count_calls(np.linalg, "eigh")
+    for _ in range(1000):
+        measure_subsystem(psi, a, rng)
+    assert len(eigh_calls) == 1
+
+
+def test_reused_objects_match_rebuilt_objects_bit_for_bit():
+    gen = np.random.default_rng(21)
+    amps = gen.normal(size=(4, 3)) + 1j * gen.normal(size=(4, 3))
+    raw = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    entries = (raw + raw.conj().T) / 2.0
+    psi = BipartiteState(amps)
+    a = LinearOperator(entries, hermitian=True)
+    reused_rng = np.random.default_rng(22)
+    rebuilt_rng = np.random.default_rng(22)
+    for _ in range(200):
+        reused = measure_subsystem(psi, a, reused_rng)
+        rebuilt = measure_subsystem(
+            BipartiteState(amps), LinearOperator(entries, hermitian=True), rebuilt_rng
+        )
+        assert reused.eigenvalue == rebuilt.eigenvalue
+        assert np.array_equal(reused.collapsed.amps, rebuilt.collapsed.amps)
+        assert np.array_equal(reused.remote.amplitudes, rebuilt.remote.amplitudes)
+    assert reused_rng.random() == rebuilt_rng.random()
+
+
+def test_expansion_and_collapse_are_memoized_and_read_only():
+    rng = np.random.default_rng(23)
+    psi = random_bipartite(rng, 3, 2)
+    a = random_hermitian(rng, 3)
+    expansion = expand_bipartite(psi, a)
+    assert expand_bipartite(psi, a) is expansion
+    for array in (
+        expansion.eigenvalues, expansion.basis, expansion.coefficients,
+        expansion.probabilities, expansion.group_eigenvalues,
+        expansion.group_probabilities, expansion.outcome_probabilities,
+    ):
+        assert not array.flags.writeable
+    for k in range(expansion.n_outcomes):
+        shot = expansion.measurement(k)
+        assert expansion.measurement(k) is shot
+        assert expansion.remote_state(k) is shot.remote
+        assert not shot.collapsed.amps.flags.writeable
+        assert shot.collapsed.labels_i == psi.labels_i
+    assert len(expansion._measurements) == expansion.n_outcomes
+
+
+def test_state_keeps_a_bounded_expansion_memo():
+    rng = np.random.default_rng(24)
+    psi = SINGLET
+    held = []
+    for _ in range(1000):
+        op = random_hermitian(rng, 2)
+        expansion = expand_bipartite(psi, op)
+        held.append((weakref.ref(op), weakref.ref(expansion)))
+    del op, expansion
+    gc.collect()
+    alive = [(o, e) for o, e in held if o() is not None or e() is not None]
+    assert len(alive) <= 1
+
+
+def test_degenerate_remote_state_is_the_factor_from_one_svd(count_calls):
+    # sigma_z (x) identity on a 4-dimensional system I has two doubly
+    # degenerate outcomes; a product state leaves a rank-one block for
+    # each, whose remote state is the complex system-II factor itself.
+    rng = np.random.default_rng(25)
+    s_i = StateVector(rng.normal(size=4) + 1j * rng.normal(size=4))
+    s_ii = StateVector(rng.normal(size=3) + 1j * rng.normal(size=3))
+    joint = tensor_product(s_i, s_ii)
+    a = sigma_z().kron(identity(2))
+    expansion = expand_bipartite(joint, a)
+    svd_calls = count_calls(np.linalg, "svd")
+    remote = expansion.remote_state(0)
+    assert len(svd_calls) == 1
+    assert states_equal_up_to_phase(remote, s_ii, tol=1e-12)

@@ -316,3 +316,39 @@ def test_states_equal_up_to_phase():
     phased = StateVector(np.exp(1j * 0.61) * UP.amplitudes)
     assert states_equal_up_to_phase(UP, phased)
     assert not states_equal_up_to_phase(UP, PLUS)
+
+
+def test_eigendecomposition_runs_once_per_operator(count_calls):
+    eigh_calls = count_calls(np.linalg, "eigh")
+    rng = np.random.default_rng(11)
+    op = random_hermitian(rng, 4)
+    s = random_state(rng, 4)
+    groups = eigengroups(op)
+    for _ in range(100):
+        measure_observable(op, s, rng)
+    evolve(op, 0.3, s)
+    assert all(g is h for g, h in zip(eigengroups(op), groups, strict=True))
+    assert len(eigh_calls) == 1
+
+
+def test_eigengroups_other_rtol_reclusters_the_cached_spectrum(count_calls):
+    eigh_calls = count_calls(np.linalg, "eigh")
+    op = LinearOperator(np.diag([1.0, 1.0 + 1e-6, 3.0]).astype(complex), hermitian=True)
+    assert [g.basis.shape[1] for g in eigengroups(op)] == [1, 1, 1]
+    assert [g.basis.shape[1] for g in eigengroups(op, rtol=1e-3)] == [2, 1]
+    assert [g.basis.shape[1] for g in eigengroups(op)] == [1, 1, 1]
+    assert len(eigh_calls) == 1
+
+
+def test_cached_eigenbases_are_read_only():
+    op = random_hermitian(np.random.default_rng(12), 3)
+    for group in eigengroups(op) + eigengroups(op, rtol=0.5):
+        assert not group.basis.flags.writeable
+        with pytest.raises(ValueError):
+            group.basis[0, 0] = 0.0
+
+
+def test_pauli_operators_are_shared_instances():
+    for pauli in (sigma_x, sigma_y, sigma_z):
+        assert pauli() is pauli()
+        assert not pauli().entries.flags.writeable

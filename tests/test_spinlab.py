@@ -7,6 +7,8 @@ sign(c az) sign(-c bz), so its correlation is the two-configuration
 average; the probabilistic rule gives E = -az bz.
 """
 
+from collections.abc import Iterator
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,13 @@ from eprlab.qcore import (
 )
 from eprlab.rng import make_stream
 from eprlab.spinlab import (
+    DEFAULT_BLOCK_SIZE,
     AnalyzerSetting,
     PairCounts,
     PairOutcome,
     PreassignedDefinite,
     QuantumEntangled,
+    _block_sizes,
     _switch_electron_up,
     chsh,
     chsh_blocked,
@@ -427,3 +431,24 @@ def test_untangle_outputs_reproduce_preassigned_statistics():
         assert states_equal_up_to_phase(positron_state, partner, tol=1e-12)
         ups += electron > 0
     assert abs(ups / n - 0.5) <= 4.0 / np.sqrt(n)
+
+
+def test_sample_pair_reuses_operators_and_expansion(count_calls):
+    a = AnalyzerSetting.from_degrees(33.0, 12.0)
+    b = AnalyzerSetting.from_degrees(101.0, 250.0)
+    assert spin_operator(a) is spin_operator(a)
+    assert singlet() is singlet()
+    eigh_calls = count_calls(np.linalg, "eigh")
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        sample_pair(QuantumEntangled(), a, b, rng)
+    assert len(eigh_calls) <= 2
+
+
+def test_block_sizes_cover_n_lazily():
+    for n in (1, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 1, 3 * DEFAULT_BLOCK_SIZE + 5):
+        sizes = _block_sizes(n, DEFAULT_BLOCK_SIZE)
+        assert isinstance(sizes, Iterator)
+        sizes = list(sizes)
+        assert sum(sizes) == n
+        assert all(size == DEFAULT_BLOCK_SIZE for size in sizes[:-1])
