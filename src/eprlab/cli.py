@@ -27,11 +27,11 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+from eprlab.spinlab import P2_RULES, SWITCH_MODES
+
 OUTPUT_DIR_ENV = "EPRLAB_OUTPUT_DIR"
 
 MODEL_CHOICES = ("p1", "p2")
-RULE_CHOICES = ("deterministic", "probabilistic")
-MODE_CHOICES = ("predicted", "mechanistic")
 FORMAT_CHOICES = ("json", "csv")
 
 
@@ -115,7 +115,7 @@ COMMON_OPTIONS = (SEED, WORKERS, FORMAT, OUTPUT)
 
 MODEL = Option("model", "--model", _choice("--model", MODEL_CHOICES), "p1",
                "pair source: p1 entangled singlet, p2 preassigned definite")
-P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", RULE_CHOICES),
+P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", P2_RULES),
                  "deterministic",
                  "p2 response rule: deterministic sign rule or "
                  "probabilistic projection rule")
@@ -127,12 +127,12 @@ MAX_SAMPLES = 2**36
 SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
                  100_000, "number of pairs to sample")
 
-# epr holds points^2 complex grids; commutator-check builds a dense
-# (2 points)^2 complex matrix at its refined level, 269 MB at the cap;
-# hydrogen holds a few radial arrays of 8 MB each at its cap.
+# epr holds points^2 complex grids. commutator-check holds a few arrays
+# of 2 points samples (about 240 MB in all at its cap); hydrogen holds a
+# few radial arrays of 8 MB each at its cap.
 EPR_MAX_POINTS = 2048
-COMMUTATOR_MAX_POINTS = 2049
 HYDROGEN_MAX_POINTS = 2**20
+COMMUTATOR_MAX_POINTS = HYDROGEN_MAX_POINTS
 
 # Presentation and execution knobs, excluded from the config echo so
 # that the same experiment produces the same bytes everywhere.
@@ -300,6 +300,7 @@ def run_epr(settings: dict) -> dict:
     psi = build_epr_state(cfg)
     position = condition_on_position(psi, settings["position"])
     momentum = condition_on_momentum(psi, settings["momentum"])
+    # The transform condition_on_momentum computed, kept on psi.
     parseval_error = abs(momentum_representation(psi).norm - 1.0)
 
     expected_x = position.sliced_at + cfg.x0
@@ -489,13 +490,17 @@ COMMANDS: dict[str, CommandSpec] = {
                    "largest principal quantum number for mean radii"),
             Option("ortho_max_n", "--ortho-max-n",
                    _int_in_range("--ortho-max-n", 1, 4), 3,
-                   "largest n in the orthonormality table"),
+                   "largest n in the orthonormality table; each pair uses "
+                   "its own radial grid (r_max 40 n^2 for the larger n, "
+                   "spacing at most 0.02)"),
             Option("r_max", "--r-max", _float_value("--r-max", positive=True),
-                   None, "radial grid extent in Bohr radii "
-                         "(default: per-orbital 40 n^2)"),
+                   None, "radial grid extent in Bohr radii for the mean "
+                         "radii and momentum (default: per-orbital 40 n^2); "
+                         "not used by the orthonormality table"),
             Option("points", "--points",
                    _int_in_range("--points", 5, HYDROGEN_MAX_POINTS), None,
-                   "radial grid points (default 4096)"),
+                   "radial grid points for the mean radii and momentum "
+                   "(default 4096); not used by the orthonormality table"),
         ),
         run_hydrogen,
     ),
@@ -561,7 +566,7 @@ COMMANDS: dict[str, CommandSpec] = {
             MODEL,
             P2_RULE,
             SAMPLES,
-            Option("mode", "--mode", _choice("--mode", MODE_CHOICES),
+            Option("mode", "--mode", _choice("--mode", SWITCH_MODES),
                    "predicted",
                    "predicted: definite-spins bookkeeping; mechanistic: "
                    "collapse-ordered simulation"),

@@ -19,6 +19,7 @@ sum |G|^2 dp^d = sum |f|^2 dx^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,12 @@ __all__ = [
 NORM_ATOL = 1e-10
 
 
+def _l2_norm(values: np.ndarray, grid: UniformGrid1D | UniformGrid2D) -> float:
+    """Discrete L2 norm; each point weighs h in 1D and h^2 in 2D."""
+    cell = grid.cell_area if isinstance(grid, UniformGrid2D) else grid.spacing
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * cell))
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples on a uniform grid, unit discrete L2 norm.
@@ -46,52 +53,83 @@ class GridFunction:
     normalized() to build one from unnormalized samples. Keeping the
     check strict makes norm preservation under the Fourier transform an
     observable fact instead of a silent correction.
+
+    The values are read-only and belong to the instance. The norm and
+    the momentum representation are computed on first use and kept.
     """
 
     values: np.ndarray
     grid: UniformGrid1D | UniformGrid2D
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        expected: tuple[int, ...]
-        if isinstance(self.grid, UniformGrid2D):
-            expected = (self.grid.points, self.grid.points)
-            cell = self.grid.cell_area
-        else:
-            expected = (self.grid.points,)
-            cell = self.grid.spacing
+        self._own(np.array(self.values, dtype=complex))
+        self._check_norm()
+
+    @classmethod
+    def _adopt(
+        cls, values: np.ndarray, grid: UniformGrid1D | UniformGrid2D
+    ) -> GridFunction:
+        """Wrap values, a complex array no caller holds, without the
+        constructor's copy or norm check."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "grid", grid)
+        psi._own(values)
+        return psi
+
+    def _own(self, values: np.ndarray) -> None:
+        expected = (self.grid.points,) * (
+            2 if isinstance(self.grid, UniformGrid2D) else 1
+        )
         if values.shape != expected:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {expected}"
             )
-        norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * cell))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(
-                f"discrete L2 norm must be 1 within {NORM_ATOL:g}, got {norm!r}"
-            )
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def _check_norm(self) -> None:
+        # Written so that a NaN norm fails too.
+        if not abs(self.norm - 1.0) <= NORM_ATOL:
+            raise ValueError(
+                f"discrete L2 norm must be 1 within {NORM_ATOL:g}, got {self.norm!r}"
+            )
 
     @classmethod
     def normalized(
         cls, values: np.ndarray, grid: UniformGrid1D | UniformGrid2D
     ) -> GridFunction:
+        """values divided by their norm: one norm pass, one division.
+
+        The quotient has unit norm by construction, so it is adopted
+        without a second norm pass or a copy.
+        """
         values = np.asarray(values, dtype=complex)
-        cell = grid.cell_area if isinstance(grid, UniformGrid2D) else grid.spacing
-        norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * cell))
+        norm = _l2_norm(values, grid)
         if norm == 0.0:
             raise ValueError("cannot normalize an identically zero grid function")
-        return cls(values / norm, grid)
+        if not np.isfinite(norm):
+            raise ValueError(f"cannot normalize a grid function of norm {norm!r}")
+        return cls._adopt(values / norm, grid)
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        cell = (
-            self.grid.cell_area
-            if isinstance(self.grid, UniformGrid2D)
-            else self.grid.spacing
-        )
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * cell))
+        return _l2_norm(self.values, self.grid)
+
+    @cached_property
+    def _momentum(self) -> GridFunction:
+        """What momentum_representation returns, computed once."""
+        n = self.grid.points
+        h = self.grid.spacing
+        # Phase factor re-anchors the FFT's index origin to the centered
+        # coordinate x = (i - n//2) h along each axis.
+        phase = np.exp(1j * self.grid.axis.momenta * (n // 2) * h)
+        transformed = np.fft.fft2(self.values)
+        transformed *= h**2 / (2.0 * np.pi)
+        transformed *= phase[:, None] * phase[None, :]
+        p_grid = UniformGrid2D(length=2.0 * np.pi / h, points=n)
+        g = GridFunction._adopt(np.fft.fftshift(transformed), p_grid)
+        g._check_norm()
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,19 +226,12 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     The momentum grid has spacing 2 pi / (n h) and follows the same
     centered convention as the position grid; discrete Parseval holds
     exactly, so the result passes the unit-norm validation untouched.
+    The transform is computed once per psi and kept on it: every caller
+    reads the same read-only samples.
     """
     if not isinstance(psi.grid, UniformGrid2D):
         raise ValueError("momentum representation requires a 2D grid function")
-    n = psi.grid.points
-    h = psi.grid.spacing
-    # Phase factor re-anchors the FFT's index origin to the centered
-    # coordinate x = (i - n//2) h along each axis.
-    phase = np.exp(1j * psi.grid.axis.momenta * (n // 2) * h)
-    transformed = (h**2 / (2.0 * np.pi)) * np.fft.fft2(psi.values)
-    transformed *= phase[:, None] * phase[None, :]
-    transformed = np.fft.fftshift(transformed)
-    p_grid = UniformGrid2D(length=2.0 * np.pi / h, points=n)
-    return GridFunction(transformed, p_grid)
+    return psi._momentum
 
 
 def _nearest_interior_index(grid: UniformGrid2D, value: float, axis_name: str) -> int:

@@ -51,6 +51,11 @@ MIN_R_MAX_PER_N2 = 20.0
 
 DEFAULT_RADIAL_POINTS = 4096
 
+# Angular rule for overlaps: Gauss-Legendre points in cos(theta), and
+# trapezoid points in phi.
+DEFAULT_POINTS_THETA = 64
+DEFAULT_POINTS_PHI = 128
+
 
 @dataclass(frozen=True)
 class Orbital:
@@ -178,17 +183,22 @@ def assoc_legendre(l: int, m: int, x: np.ndarray) -> np.ndarray:
 def spherical_harmonic(
     l: int, m: int, theta: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
-    """Y_l^m(theta, phi) with theta the polar angle."""
+    """Y_l^m(theta, phi) with theta the polar angle.
+
+    Negative m follows from Y_l^{-m} = (-1)^m conj(Y_l^m).
+    """
     if abs(m) > l:
         raise ValueError("spherical harmonic requires |m| <= l")
-    if m < 0:
-        return (-1.0) ** (-m) * np.conj(spherical_harmonic(l, -m, theta, phi))
+    mu = abs(m)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     norm = np.sqrt(
-        (2.0 * l + 1.0) / (4.0 * np.pi) * factorial(l - m) / factorial(l + m)
+        (2.0 * l + 1.0) / (4.0 * np.pi) * factorial(l - mu) / factorial(l + mu)
     )
-    return norm * assoc_legendre(l, m, np.cos(theta)) * np.exp(1j * m * phi)
+    y = norm * assoc_legendre(l, mu, np.cos(theta)) * np.exp(1j * mu * phi)
+    if m < 0:
+        return (-1.0) ** mu * np.conj(y)
+    return y
 
 
 def radial_wavefunction(n: int, l: int, r: np.ndarray) -> np.ndarray:
@@ -277,12 +287,73 @@ def _angular_quadrature(points_theta: int, points_phi: int):
     return theta, w, phi, w_phi
 
 
+def _overlap_grid(n_max: int) -> RadialGrid:
+    """Default overlap grid: r_max = 40 n_max^2, spacing at most 0.02."""
+    r_max = 40.0 * n_max * n_max * BOHR_RADIUS
+    points = max(DEFAULT_RADIAL_POINTS, int(round(r_max / 0.02)) + 1)
+    return RadialGrid(r_max, points)
+
+
+class _OverlapQuadrature:
+    """Overlap integrals on one angular rule.
+
+    Each orbital's radial samples are computed once per radial grid,
+    each radial integral once per (n, l) pair and grid, and each Y_lm
+    once per rule, however many pairs read them.
+    """
+
+    def __init__(self, points_theta: int, points_phi: int) -> None:
+        self.theta, self.w_theta, self.phi, self.w_phi = _angular_quadrature(
+            points_theta, points_phi
+        )
+        self._radial: dict[tuple[RadialGrid, int, int], np.ndarray] = {}
+        self._radial_integrals: dict[tuple, float] = {}
+        self._harmonic: dict[tuple[int, int], np.ndarray] = {}
+
+    def _radial_samples(self, grid: RadialGrid, n: int, l: int) -> np.ndarray:
+        key = (grid, n, l)
+        if key not in self._radial:
+            self._radial[key] = radial_wavefunction(n, l, grid.radii)
+        return self._radial[key]
+
+    def _radial_integral(self, grid: RadialGrid, o1: Orbital, o2: Orbital) -> float:
+        key = (grid, o1.n, o1.l, o2.n, o2.l)
+        if key not in self._radial_integrals:
+            self._radial_integrals[key] = _simpson(
+                self._radial_samples(grid, o1.n, o1.l)
+                * self._radial_samples(grid, o2.n, o2.l)
+                * grid.radii**2,
+                grid.spacing,
+            )
+        return self._radial_integrals[key]
+
+    def _harmonic_samples(self, l: int, m: int) -> np.ndarray:
+        if (l, m) not in self._harmonic:
+            self._harmonic[(l, m)] = spherical_harmonic(
+                l, m, self.theta[:, None], self.phi[None, :]
+            )
+        return self._harmonic[(l, m)]
+
+    def overlap(
+        self, o1: Orbital, o2: Orbital, grid: RadialGrid | None = None
+    ) -> complex:
+        n_max = max(o1.n, o2.n)
+        if grid is None:
+            grid = _overlap_grid(n_max)
+        _check_containment(n_max, grid)
+        radial = self._radial_integral(grid, o1, o2)
+        y1 = self._harmonic_samples(o1.l, o1.m)
+        y2 = self._harmonic_samples(o2.l, o2.m)
+        angular = np.sum(self.w_theta[:, None] * np.conj(y1) * y2) * self.w_phi
+        return complex(radial * angular)
+
+
 def orbital_overlap(
     o1: Orbital,
     o2: Orbital,
     grid: RadialGrid | None = None,
-    points_theta: int = 64,
-    points_phi: int = 128,
+    points_theta: int = DEFAULT_POINTS_THETA,
+    points_phi: int = DEFAULT_POINTS_PHI,
 ) -> complex:
     """Quadrature of conj(psi_1) psi_2 over all space.
 
@@ -293,24 +364,7 @@ def orbital_overlap(
     cross-n overlap integrates the steepest orbital over the widest
     orbital's range, so the spacing is capped at 0.02 Bohr radii.
     """
-    if grid is None:
-        n_max = max(o1.n, o2.n)
-        r_max = 40.0 * n_max * n_max * BOHR_RADIUS
-        points = max(DEFAULT_RADIAL_POINTS, int(round(r_max / 0.02)) + 1)
-        grid = RadialGrid(r_max, points)
-    _check_containment(max(o1.n, o2.n), grid)
-    r = grid.radii
-    radial = _simpson(
-        radial_wavefunction(o1.n, o1.l, r)
-        * radial_wavefunction(o2.n, o2.l, r)
-        * r**2,
-        grid.spacing,
-    )
-    theta, w_theta, phi, w_phi = _angular_quadrature(points_theta, points_phi)
-    y1 = spherical_harmonic(o1.l, o1.m, theta[:, None], phi[None, :])
-    y2 = spherical_harmonic(o2.l, o2.m, theta[:, None], phi[None, :])
-    angular = np.sum(w_theta[:, None] * np.conj(y1) * y2) * w_phi
-    return complex(radial * angular)
+    return _OverlapQuadrature(points_theta, points_phi).overlap(o1, o2, grid)
 
 
 def orthonormality_table(
@@ -319,7 +373,9 @@ def orthonormality_table(
     """Pairwise overlaps of all orbitals with n up to max_n.
 
     Diagonal entries should be 1 and off-diagonal entries 0, both to
-    quadrature accuracy.
+    quadrature accuracy. Each entry is orbital_overlap(o1, o2, grid) on
+    the default angular rule; the samples the pairs share are computed
+    once for the whole table.
     """
     orbitals = [
         Orbital(n, l, m)
@@ -327,26 +383,47 @@ def orthonormality_table(
         for l in range(n)
         for m in range(-l, l + 1)
     ]
+    quadrature = _OverlapQuadrature(DEFAULT_POINTS_THETA, DEFAULT_POINTS_PHI)
     table = []
     for i, o1 in enumerate(orbitals):
         for o2 in orbitals[i:]:
-            table.append((o1, o2, orbital_overlap(o1, o2, grid=grid)))
+            table.append((o1, o2, quadrature.overlap(o1, o2, grid)))
     return table
+
+
+def _stencil_entries(h: float) -> tuple[complex, complex]:
+    """Sub- and super-diagonal entries of p = -i hbar D at spacing h."""
+    lower, upper = -1j * HBAR * np.array([-1.0 / (2.0 * h), 1.0 / (2.0 * h)])
+    return lower, upper
 
 
 def central_difference_momentum(grid: UniformGrid1D) -> LinearOperator:
     """p = -i hbar D with D the banded central-difference stencil.
 
     D is exactly antisymmetric (the edge rows are one-sided), so the
-    operator is exactly Hermitian.
+    operator is exactly Hermitian. This dense form holds (points)^2
+    entries; grid_commutator_check applies the same entries by slices.
     """
     n = grid.points
-    h = grid.spacing
-    d = np.zeros((n, n), dtype=complex)
+    lower, upper = _stencil_entries(grid.spacing)
+    p = np.zeros((n, n), dtype=complex)
     idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0 / (2.0 * h)
-    d[idx + 1, idx] = -1.0 / (2.0 * h)
-    return LinearOperator(-1j * HBAR * d, hermitian=True)
+    p[idx, idx + 1] = upper
+    p[idx + 1, idx] = lower
+    return LinearOperator(p, hermitian=True)
+
+
+def _apply_momentum(grid: UniformGrid1D, f: np.ndarray) -> np.ndarray:
+    """central_difference_momentum(grid) applied to f in O(points).
+
+    Row i is lower * f[i-1] + upper * f[i+1], with the dense operator's
+    entries; no (points)^2 matrix is built.
+    """
+    lower, upper = _stencil_entries(grid.spacing)
+    pf = np.zeros_like(f)
+    pf[1:] = lower * f[:-1]
+    pf[:-1] += upper * f[1:]
+    return pf
 
 
 def _commutator_residual(
@@ -361,8 +438,7 @@ def _commutator_residual(
             "test function does not decay at the grid edges; the one-sided "
             "boundary stencil would contaminate the residual"
         )
-    p = central_difference_momentum(grid).entries
-    commutator_f = x * (p @ f) - p @ (x * f)
+    commutator_f = x * _apply_momentum(grid, f) - _apply_momentum(grid, x * f)
     residual = np.abs(commutator_f - 1j * HBAR * f)
     return float(np.max(residual[1:-1]))
 

@@ -220,8 +220,9 @@ def test_non_finite_numbers_exit_2(argv, capsys):
 def test_grid_points_above_cap_exit_2_before_allocating(
     command, cap, grid, monkeypatch, capsys
 ):
-    # The caps admit the benchmark's largest grids.
-    assert (EPR_MAX_POINTS, COMMUTATOR_MAX_POINTS) == (2048, 2049)
+    # The caps admit the benchmark's largest grids; the commutator
+    # stencil is O(points), so its cap is the radial grid's.
+    assert (EPR_MAX_POINTS, COMMUTATOR_MAX_POINTS) == (2048, HYDROGEN_MAX_POINTS)
     at_cap = resolve_settings(
         build_parser().parse_args([command, "--points", str(cap)])
     )
@@ -344,3 +345,18 @@ def test_module_entry_point_subprocess():
     )
     doc = json.loads(result.stdout)
     assert doc["config"]["command"] == "hydrogen"
+
+
+def test_hydrogen_grid_flags_do_not_reach_the_orthonormality_table():
+    base = ["hydrogen", "--max-n", "1", "--ortho-max-n", "2"]
+    default = run_json(base)
+    custom = run_json(base + ["--points", "2001", "--r-max", "60"])
+    assert custom["results"]["mean_radius"] != default["results"]["mean_radius"]
+    assert custom["results"]["orthonormality"] == default["results"]["orthonormality"]
+    grid_options = [
+        option for option in COMMANDS["hydrogen"].options
+        if option.dest in ("points", "r_max")
+    ]
+    assert len(grid_options) == 2
+    for option in grid_options:
+        assert "not used by the orthonormality table" in option.help

@@ -12,6 +12,7 @@ momentum space the same algebra gives a conditional mean
 import numpy as np
 import pytest
 
+from eprlab import cli, eprpair
 from eprlab.eprpair import (
     Distribution1D,
     EprConfig,
@@ -177,3 +178,58 @@ def test_distribution_moments():
         Distribution1D(coords, np.array([0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         Distribution1D(coords, np.array([0.5, 0.5, -0.1]))
+
+
+def test_epr_document_runs_one_fft(count_calls):
+    fft_calls = count_calls(np.fft, "fft2")
+    settings = cli.resolve_settings(cli.build_parser().parse_args(["epr"]))
+    cli.run_epr(settings)
+    assert len(fft_calls) == 1
+
+
+def test_momentum_representation_is_computed_once_and_read_only(count_calls):
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(20.0, 128)))
+    fft_calls = count_calls(np.fft, "fft2")
+    first = momentum_representation(psi)
+    kept = first.values.copy()
+    second = momentum_representation(psi)
+    assert len(fft_calls) == 1
+    assert second is first
+    assert not second.values.flags.writeable
+    with pytest.raises(ValueError):
+        second.values[0, 0] = 0.0
+    assert np.array_equal(second.values.view(float), kept.view(float))
+    fresh = GridFunction(psi.values, psi.grid)
+    recomputed = momentum_representation(fresh).values
+    assert np.array_equal(recomputed.view(float), kept.view(float))
+
+
+def test_normalized_takes_one_norm_pass(count_calls):
+    grid = UniformGrid1D(10.0, 100)
+    raw = np.linspace(1.0, 2.0, 100)
+    norm_calls = count_calls(eprpair, "_l2_norm")
+    f = GridFunction.normalized(raw, grid)
+    assert len(norm_calls) == 1
+    assert not f.values.flags.writeable
+    assert f.norm == pytest.approx(1.0, abs=1e-12)
+    raw[:] = 0.0
+    assert f.values[0] != 0.0
+
+
+def test_constructor_copies_and_validates():
+    grid = UniformGrid1D(10.0, 100)
+    values = np.full(100, 1.0 / np.sqrt(10.0), dtype=complex)
+    f = GridFunction(values, grid)
+    values[:] = 0.0
+    assert f.values[0] != 0.0
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        GridFunction(values[:50], grid)
+    with pytest.raises(ValueError, match="norm"):
+        GridFunction(np.full(100, np.nan), grid)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, 1e200])
+def test_normalized_rejects_non_finite_norm(fill):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="normalize"):
+        GridFunction.normalized(np.full(100, fill), UniformGrid1D(10.0, 100))

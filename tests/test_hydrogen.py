@@ -9,6 +9,7 @@ quadrature.
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from scipy.integrate import simpson
 from scipy.special import eval_genlaguerre, lpmv, sph_harm_y
 
 from eprlab.constants import BOHR_RADIUS, HBAR
+from eprlab import hydrogen
 from eprlab.grids import UniformGrid1D
 from eprlab.hydrogen import (
     Orbital,
     RadialGrid,
     assoc_legendre,
+    central_difference_momentum,
     eval_orbital,
     expect_r,
     expect_radial_p_ground,
@@ -216,3 +219,69 @@ def test_commutator_check_custom_grid():
     report = grid_commutator_check(grid=grid)
     assert 1.8 <= report.convergence_order <= 2.2
     assert report.spacing == pytest.approx(24.0 / 257)
+
+
+def test_orthonormality_table_is_per_pair_overlap_bit_for_bit():
+    table = orthonormality_table(3)
+    assert len(table) == 14 * 15 // 2
+    for o1, o2, value in table:
+        assert value == orbital_overlap(o1, o2)
+
+
+def test_orthonormality_table_samples_each_orbital_once(count_calls):
+    radial_calls = count_calls(hydrogen, "radial_wavefunction")
+    harmonic_calls = count_calls(hydrogen, "spherical_harmonic")
+    orthonormality_table(3)
+    # One radial grid per pair's larger n: (n, l) with n <= that n.
+    radial = Counter((n, l, len(r), float(r[-1])) for n, l, r in radial_calls)
+    assert set(radial.values()) == {1}
+    assert len(radial) == 1 + 3 + 6
+    harmonic = Counter((l, m) for l, m, _theta, _phi in harmonic_calls)
+    assert set(harmonic.values()) == {1}
+    assert len(harmonic) == 1 + 3 + 5
+
+
+def dense_commutator_residual(grid):
+    """The residual computed with the dense operator, as an oracle."""
+    x = grid.coordinates
+    f = np.exp(-(x**2) / 2.0).astype(complex)
+    p = central_difference_momentum(grid).entries
+    residual = np.abs(x * (p @ f) - p @ (x * f) - 1j * HBAR * f)
+    return float(np.max(residual[1:-1]))
+
+
+@pytest.mark.parametrize("points", [5, 6, 7, 8, 9, 16, 17, 33, 100])
+def test_slice_stencil_matches_dense_operator(points):
+    # BLAS may fuse the second multiply-add of a row, so agreement is to
+    # one rounding of each of the row's two products.
+    grid = UniformGrid1D(length=3.0, points=points)
+    rng = np.random.default_rng(points)
+    f = rng.normal(size=points) + 1j * rng.normal(size=points)
+    p = central_difference_momentum(grid).entries
+    dense = p @ f
+    sliced = hydrogen._apply_momentum(grid, f)
+    terms = np.abs(p) @ np.abs(f)
+    assert np.all(np.abs(sliced - dense) <= 2.0 * np.finfo(float).eps * terms)
+    assert sliced[0] == p[0, 1] * f[1]
+    assert sliced[-1] == p[-1, -2] * f[-2]
+
+
+@pytest.mark.parametrize(
+    "length, points", [(16.0, 513), (16.0, 1025), (14.0, 64), (13.5, 777), (20.0, 101)]
+)
+def test_commutator_residuals_match_dense_operator_bit_for_bit(length, points):
+    # The largest residual sits at x = 0, where the row's two products
+    # are equal, so a fused or an unfused sum rounds alike.
+    grid = UniformGrid1D(length=length, points=points)
+    report = grid_commutator_check(grid)
+    assert report.max_interior_residual == dense_commutator_residual(grid)
+    assert report.refined_residual == dense_commutator_residual(grid.refined())
+
+
+def test_commutator_check_builds_no_dense_matrix(monkeypatch):
+    def refuse(grid):
+        raise AssertionError("dense momentum matrix built")
+
+    monkeypatch.setattr(hydrogen, "central_difference_momentum", refuse)
+    report = grid_commutator_check(UniformGrid1D(length=16.0, points=1025))
+    assert 1.8 <= report.convergence_order <= 2.2
