@@ -65,14 +65,10 @@ from eprlab.spinlab import (
     PreassignedDefinite,
     QuantumEntangled,
     SwitchReport,
-    chsh,
-    correlation,
     pair_counts_blocked,
     sample_pair,
-    sample_pairs,
     singlet,
     spin_operator,
-    switch_protocol,
     switch_protocol_blocked,
     untangle,
 )
@@ -103,11 +99,9 @@ __all__ = [
     "UniformGrid2D",
     "apply",
     "build_epr_state",
-    "chsh",
     "commutator",
     "condition_on_momentum",
     "condition_on_position",
-    "correlation",
     "eigengroups",
     "eval_orbital",
     "evolve",
@@ -128,14 +122,12 @@ __all__ = [
     "relative_coordinate_marginal",
     "remote_state_pair",
     "sample_pair",
-    "sample_pairs",
     "sigma_x",
     "sigma_y",
     "sigma_z",
     "simultaneous_eigenstate_check",
     "singlet",
     "spin_operator",
-    "switch_protocol",
     "switch_protocol_blocked",
     "tensor_product",
     "untangle",

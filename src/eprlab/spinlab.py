@@ -17,14 +17,13 @@ projected onto the particle's definite axis, ties broken toward +1. A
 probabilistic completion (projection probabilities, cos^2(theta/2)) is
 available as the labeled "probabilistic" rule; the two are never mixed.
 
-Tallies are drawn as one multinomial from each setting's exact joint
-law (for the entangled model, through the singlet's expansion and
-collapse); sample_pair is the per-pair route they are checked against.
-The *_blocked variants draw fixed-size blocks from one derived stream
-each, so a fixed seed reproduces every count exactly. An analyzer
-setting builds its spin operator once and singlet() is one shared
-state, so repeated per-pair calls reuse one decomposition and one
-expansion per setting.
+Every tally is drawn one way: block i of DEFAULT_BLOCK_SIZE pairs is one
+multinomial (binomial for the switch protocol) from the setting's exact
+joint law, drawn from the stream of (seed, offset + i), so a fixed seed
+reproduces every count. sample_pair and untangle are the per-pair
+reference routes the tallies are checked against. An analyzer setting
+builds its spin operator once and singlet() is one shared state, so
+repeated per-pair calls reuse one decomposition and one expansion.
 """
 
 from __future__ import annotations
@@ -59,13 +58,9 @@ __all__ = [
     "singlet",
     "spin_operator",
     "sample_pair",
-    "sample_pairs",
     "pair_counts_blocked",
-    "correlation",
-    "chsh",
     "chsh_blocked",
     "joint_law",
-    "switch_protocol",
     "switch_protocol_blocked",
     "untangle",
     "untangle_branches",
@@ -73,9 +68,9 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
 ]
 
-# Fixed block size for worker-independent parallel sampling. Changing it
-# changes which stream generates which pair, so it is a constant, not a
-# tunable.
+# Pairs per sampling block, each block drawn from its own derived
+# stream. Changing it changes which stream generates which pair, and so
+# every document's counts; it is a constant, not a tunable.
 DEFAULT_BLOCK_SIZE = 65536
 
 SWITCH_MODES = ("predicted", "mechanistic")
@@ -180,14 +175,6 @@ class PairCounts:
     up_down: int = 0
     down_up: int = 0
     down_down: int = 0
-
-    def __add__(self, other: PairCounts) -> PairCounts:
-        return PairCounts(
-            self.up_up + other.up_up,
-            self.up_down + other.up_down,
-            self.down_up + other.down_up,
-            self.down_down + other.down_down,
-        )
 
     @property
     def n_pairs(self) -> int:
@@ -314,34 +301,23 @@ def joint_law(
     return law
 
 
-def sample_pairs(
-    model: PairModel,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    n: int,
-    rng: np.random.Generator,
-) -> PairCounts:
-    """Tally n pairs drawn from one stream: one multinomial draw from the
-    exact joint law, identical in law to n calls of sample_pair."""
+def _block_sizes(n: int):
+    """Sizes of the fixed blocks covering n, lazily; every sampler's
+    check of n."""
     if n < 1:
-        raise ValueError("need at least one pair")
-    return PairCounts(*map(int, rng.multinomial(n, joint_law(model, a, b))))
+        raise ValueError(f"need at least one sample, got {n}")
+    full, rest = divmod(n, DEFAULT_BLOCK_SIZE)
+    return itertools.chain(
+        itertools.repeat(DEFAULT_BLOCK_SIZE, full), [rest] if rest else []
+    )
 
 
-def _block_sizes(n: int, block_size: int):
-    """Sizes of the fixed blocks covering n, yielded lazily."""
-    full, rest = divmod(n, block_size)
-    yield from itertools.repeat(block_size, full)
-    if rest:
-        yield rest
-
-
-def _per_block(draw, n: int, seed: int, stream_offset: int, block_size: int):
+def _per_block(draw, n: int, seed: int, stream_offset: int):
     """draw(size, rng) for each fixed block of n, in order and lazily;
     block i draws from the stream derived from (seed, stream_offset + i)."""
     return (
         draw(size, make_stream(seed, stream_offset + i))
-        for i, size in enumerate(_block_sizes(n, block_size))
+        for i, size in enumerate(_block_sizes(n))
     )
 
 
@@ -352,58 +328,21 @@ def pair_counts_blocked(
     n: int,
     seed: int,
     *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
+    workers: int = 1,  # changes nothing; bench/layers.py passes workers=2
     stream_offset: int = 0,
 ) -> PairCounts:
-    """Tally n pairs split into fixed blocks with one stream per block.
+    """Tally n pairs, the electron measured along a and the positron
+    along b.
 
     The joint law is worked out once; block i then draws its tallies as
     one multinomial from the stream derived from (seed, stream_offset +
-    i), and blocks aggregate by exact integer sums. workers is accepted
-    for compatibility and changes nothing.
+    i), and blocks aggregate by exact integer sums.
     """
-    if n < 1:
-        raise ValueError("need at least one pair")
     law = joint_law(model, a, b)
     blocks = _per_block(
-        lambda size, rng: rng.multinomial(size, law),
-        n,
-        seed,
-        stream_offset,
-        block_size,
+        lambda size, rng: rng.multinomial(size, law), n, seed, stream_offset
     )
     return PairCounts(*map(int, sum(blocks)))
-
-
-def correlation(
-    model: PairModel,
-    a: AnalyzerSetting,
-    b: AnalyzerSetting,
-    n: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of E(a, b): mean of electron times positron."""
-    return sample_pairs(model, a, b, n, rng).correlation
-
-
-def chsh(
-    model: PairModel,
-    a: AnalyzerSetting,
-    a2: AnalyzerSetting,
-    b: AnalyzerSetting,
-    b2: AnalyzerSetting,
-    n: int,
-    rng: np.random.Generator,
-) -> float:
-    """S = E(a,b) - E(a,b2) + E(a2,b) + E(a2,b2), each estimated from n
-    freshly sampled pairs."""
-    return (
-        correlation(model, a, b, n, rng)
-        - correlation(model, a, b2, n, rng)
-        + correlation(model, a2, b, n, rng)
-        + correlation(model, a2, b2, n, rng)
-    )
 
 
 def chsh_blocked(
@@ -452,15 +391,8 @@ def _switch_electron_up(model: PairModel, mode: str) -> float:
     )
 
 
-def _check_switch(mode: str, n: int) -> None:
-    if mode not in SWITCH_MODES:
-        raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
-    if n < 1:
-        raise ValueError("need at least one pair")
-
-
-def switch_protocol(
-    model: PairModel, n: int, mode: str, rng: np.random.Generator
+def switch_protocol_blocked(
+    model: PairModel, n: int, mode: str, seed: int
 ) -> SwitchReport:
     """Run the spin-switch protocol on n pairs.
 
@@ -468,51 +400,23 @@ def switch_protocol(
     positron to spin-down before detection. predicted mode reproduces
     the protocol's claimed outcome tables; mechanistic mode simulates
     measure-then-flip collapse. For the entangled source the two
-    disagree on the electron, and the report's note says so.
+    disagree on the electron, and the report's note says so. Each
+    block's electron-up count is one binomial draw from its own stream.
     """
-    _check_switch(mode, n)
-    electron_up = int(rng.binomial(n, _switch_electron_up(model, mode)))
-    return _switch_report(model, mode, n, electron_up)
-
-
-def _switch_report(
-    model: PairModel, mode: str, n: int, electron_up: int
-) -> SwitchReport:
+    if mode not in SWITCH_MODES:
+        raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
+    p = _switch_electron_up(model, mode)
+    blocks = _per_block(lambda size, rng: int(rng.binomial(size, p)), n, seed, 0)
     note = ""
     if mode == "mechanistic" and isinstance(model, QuantumEntangled):
         note = MECHANISTIC_DIVERGENCE_NOTE
     return SwitchReport(
         n_pairs=n,
-        n_electron_up=electron_up,
+        n_electron_up=sum(blocks),
         n_positron_down=n,
         mode=mode,
         note=note,
     )
-
-
-def switch_protocol_blocked(
-    model: PairModel,
-    n: int,
-    mode: str,
-    seed: int,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
-    stream_offset: int = 0,
-) -> SwitchReport:
-    """Blocked variant of switch_protocol: one binomial draw per block,
-    from the block's own stream. workers is accepted for compatibility
-    and changes nothing."""
-    _check_switch(mode, n)
-    p = _switch_electron_up(model, mode)
-    blocks = _per_block(
-        lambda size, rng: int(rng.binomial(size, p)),
-        n,
-        seed,
-        stream_offset,
-        block_size,
-    )
-    return _switch_report(model, mode, n, sum(blocks))
 
 
 def untangle_branches(psi: BipartiteState) -> tuple[BipartiteState, ...]:
@@ -555,7 +459,6 @@ def untangle_counts(
     """
     untangle_branches(psi)
     up_down = sum(
-        int(np.count_nonzero(rng.random(size) < 0.5))
-        for size in _block_sizes(n, DEFAULT_BLOCK_SIZE)
+        int(np.count_nonzero(rng.random(size) < 0.5)) for size in _block_sizes(n)
     )
     return up_down, n - up_down

@@ -102,6 +102,17 @@ def test_epr_document_within_tolerances():
     assert doc["results"]["parseval_error"] <= 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the default 20-unit grid does not resolve the momentum "
+    "conditional at |p| = 4 (deviation 0.127 against its own tolerance 0.04); "
+    "ROADMAP direction 2 is the mend",
+)
+def test_epr_momentum_4_within_its_own_tolerance():
+    stats = run_json(["epr", "--momentum", "4"])["statistics"]
+    assert stats["momentum_mean_deviation"] <= stats["momentum_tolerance"]
+
+
 def test_switch_predicted_and_mechanistic():
     doc = run_json(
         ["switch", "--model", "p2", "--mode", "predicted",

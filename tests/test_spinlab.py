@@ -29,18 +29,15 @@ from eprlab.spinlab import (
     QuantumEntangled,
     _block_sizes,
     _switch_electron_up,
-    chsh,
     chsh_blocked,
-    correlation,
     joint_law,
     pair_counts_blocked,
     sample_pair,
-    sample_pairs,
     singlet,
     spin_operator,
-    switch_protocol,
     switch_protocol_blocked,
     untangle,
+    untangle_counts,
 )
 
 Z = AnalyzerSetting.from_degrees(0.0, 0.0)
@@ -52,6 +49,12 @@ CHSH_OPTIMAL = (
     AnalyzerSetting.from_degrees(45.0, 0.0),
     AnalyzerSetting.from_degrees(135.0, 0.0),
 )
+
+
+def chsh_s(counts):
+    # S = E(a,b) - E(a,b2) + E(a2,b) + E(a2,b2) from chsh_blocked's tallies.
+    e = [c.correlation for c in counts]
+    return e[0] - e[1] + e[2] + e[3]
 
 
 def preassigned_deterministic_oracle(a, b):
@@ -150,7 +153,7 @@ def test_parallel_axes_strict_anticorrelation_both_models():
 def test_parallel_axes_identical_statistics_vectorized():
     n = 1_000_000
     for model in (QuantumEntangled(), PreassignedDefinite()):
-        counts = sample_pairs(model, Z, Z, n, np.random.default_rng(11))
+        counts = pair_counts_blocked(model, Z, Z, n, seed=11)
         assert counts.up_up == 0
         assert counts.down_down == 0
         assert abs(counts.up_down / n - 0.5) <= 4.0 / np.sqrt(n)
@@ -159,26 +162,25 @@ def test_parallel_axes_identical_statistics_vectorized():
 
 def test_perpendicular_axes_uncorrelated():
     n = 100_000
-    value = correlation(QuantumEntangled(), Z, X, n, np.random.default_rng(12))
+    value = pair_counts_blocked(QuantumEntangled(), Z, X, n, seed=12).correlation
     assert abs(value) <= 4.0 / np.sqrt(n)
 
 
 def test_entangled_correlation_parallel_exact():
-    value = correlation(QuantumEntangled(), Z, Z, 10_000, np.random.default_rng(13))
+    value = pair_counts_blocked(QuantumEntangled(), Z, Z, 10_000, seed=13).correlation
     assert value == -1.0
 
 
 def test_entangled_correlation_matches_cosine_oracle():
     n = 100_000
-    rng = np.random.default_rng(14)
     for degrees in (30.0, 60.0, 120.0):
         b = AnalyzerSetting.from_degrees(degrees, 0.0)
-        value = correlation(QuantumEntangled(), Z, b, n, rng)
+        value = pair_counts_blocked(QuantumEntangled(), Z, b, n, seed=14).correlation
         assert abs(value - (-Z.dot(b))) <= 4.0 / np.sqrt(n)
 
 
 def test_entangled_sampling_dual_route_agreement():
-    # The vectorized path and the per-pair collapse path estimate the
+    # The blocked path and the per-pair collapse path estimate the
     # same correlation; both must sit on the analytic value.
     n = 1_500
     b = AnalyzerSetting.from_degrees(60.0, 0.0)
@@ -186,7 +188,7 @@ def test_entangled_sampling_dual_route_agreement():
     looped = sum(
         sample_pair(QuantumEntangled(), Z, b, rng).product for _ in range(n)
     ) / n
-    batched = correlation(QuantumEntangled(), Z, b, n, np.random.default_rng(16))
+    batched = pair_counts_blocked(QuantumEntangled(), Z, b, n, seed=16).correlation
     assert abs(looped - (-0.5)) <= 4.0 / np.sqrt(n)
     assert abs(batched - (-0.5)) <= 4.0 / np.sqrt(n)
 
@@ -204,7 +206,7 @@ def test_preassigned_deterministic_matches_bruteforce_oracle():
         oracle = preassigned_deterministic_oracle(a, b)
         # Generic settings: both hidden configurations give the same
         # product, so the estimate equals the oracle with no noise.
-        value = correlation(model, a, b, 2_000, rng)
+        value = pair_counts_blocked(model, a, b, 2_000, seed=17).correlation
         assert value == pytest.approx(oracle, abs=1e-12)
 
 
@@ -238,12 +240,11 @@ def test_joint_laws_match_closed_forms():
 
 
 def test_preassigned_probabilistic_matches_projection_oracle():
-    rng = np.random.default_rng(18)
     model = PreassignedDefinite(rule="probabilistic")
     n = 100_000
     for degrees in (0.0, 45.0, 90.0):
         b = AnalyzerSetting.from_degrees(degrees, 0.0)
-        value = correlation(model, Z, b, n, rng)
+        value = pair_counts_blocked(model, Z, b, n, seed=18).correlation
         oracle = -Z.vector[2] * b.vector[2]
         assert abs(value - oracle) <= 4.0 / np.sqrt(n)
 
@@ -255,7 +256,7 @@ def test_preassigned_rejects_unknown_rule():
 
 def test_chsh_entangled_optimal_angles():
     a, a2, b, b2 = CHSH_OPTIMAL
-    s = chsh(QuantumEntangled(), a, a2, b, b2, 200_000, np.random.default_rng(19))
+    s = chsh_s(chsh_blocked(QuantumEntangled(), a, a2, b, b2, 200_000, seed=19))
     assert abs(abs(s) - 2.0 * np.sqrt(2.0)) <= 0.02
 
 
@@ -268,15 +269,14 @@ def test_chsh_preassigned_bounded_by_two():
         settings = [
             AnalyzerSetting.from_degrees(t, p) for t, p in zip(angles, azimuths)
         ]
-        s = chsh(PreassignedDefinite(), *settings, n, rng)
+        s = chsh_s(chsh_blocked(PreassignedDefinite(), *settings, n, seed=20))
         assert abs(s) <= 2.0 + 5.0 * 2.0 / np.sqrt(n)
 
 
 def test_chsh_degenerate_settings():
     n = 100_000
-    rng = np.random.default_rng(21)
     b = AnalyzerSetting.from_degrees(45.0, 0.0)
-    s = chsh(QuantumEntangled(), Z, Z, b, b, n, rng)
+    s = chsh_s(chsh_blocked(QuantumEntangled(), Z, Z, b, b, n, seed=21))
     expected = 2.0 * (-Z.dot(b))
     assert abs(s - expected) <= 4.0 * 4.0 / np.sqrt(n)
 
@@ -305,11 +305,13 @@ def test_blocked_counts_independent_of_workers():
 def test_blocked_counts_match_manual_streams():
     model = PreassignedDefinite()
     b = AnalyzerSetting.from_degrees(70.0, 10.0)
-    blocked = pair_counts_blocked(model, Z, b, 70_000, seed=3, block_size=30_000)
-    manual = PairCounts()
-    for i, size in enumerate((30_000, 30_000, 10_000)):
-        manual = manual + sample_pairs(model, Z, b, size, make_stream(3, i))
-    assert blocked == manual
+    sizes = (DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE, 10_000)
+    blocked = pair_counts_blocked(model, Z, b, sum(sizes), seed=3)
+    law = joint_law(model, Z, b)
+    manual = sum(
+        make_stream(3, i).multinomial(size, law) for i, size in enumerate(sizes)
+    )
+    assert blocked == PairCounts(*map(int, manual))
 
 
 def test_same_seed_reproduces_sequences():
@@ -321,15 +323,15 @@ def test_same_seed_reproduces_sequences():
         sample_pair(QuantumEntangled(), Z, b, make_stream(42, 0)) for _ in range(1)
     ]
     assert first == second
-    c1 = sample_pairs(QuantumEntangled(), Z, b, 5_000, make_stream(42, 1))
-    c2 = sample_pairs(QuantumEntangled(), Z, b, 5_000, make_stream(42, 1))
+    c1, c2 = (
+        pair_counts_blocked(QuantumEntangled(), Z, b, 5_000, seed=42, stream_offset=1)
+        for _ in range(2)
+    )
     assert c1 == c2
 
 
 def test_switch_predicted_entangled_table():
-    report = switch_protocol(
-        QuantumEntangled(), 50_000, "predicted", np.random.default_rng(22)
-    )
+    report = switch_protocol_blocked(QuantumEntangled(), 50_000, "predicted", seed=22)
     assert report.p_electron_up == 1.0
     assert report.p_positron_down == 1.0
     assert report.note == ""
@@ -337,18 +339,14 @@ def test_switch_predicted_entangled_table():
 
 def test_switch_predicted_preassigned_table():
     n = 100_000
-    report = switch_protocol(
-        PreassignedDefinite(), n, "predicted", np.random.default_rng(23)
-    )
+    report = switch_protocol_blocked(PreassignedDefinite(), n, "predicted", seed=23)
     assert report.p_positron_down == 1.0
     assert abs(report.p_electron_up - 0.5) <= 4.0 / np.sqrt(n)
 
 
 def test_switch_mechanistic_entangled_diverges():
     n = 100_000
-    report = switch_protocol(
-        QuantumEntangled(), n, "mechanistic", np.random.default_rng(24)
-    )
+    report = switch_protocol_blocked(QuantumEntangled(), n, "mechanistic", seed=24)
     assert report.p_positron_down == 1.0
     assert abs(report.p_electron_up - 0.5) <= 4.0 / np.sqrt(n)
     assert "predicted" in report.note
@@ -356,9 +354,7 @@ def test_switch_mechanistic_entangled_diverges():
 
 def test_switch_mechanistic_preassigned():
     n = 100_000
-    report = switch_protocol(
-        PreassignedDefinite(), n, "mechanistic", np.random.default_rng(25)
-    )
+    report = switch_protocol_blocked(PreassignedDefinite(), n, "mechanistic", seed=25)
     assert report.p_positron_down == 1.0
     assert abs(report.p_electron_up - 0.5) <= 4.0 / np.sqrt(n)
     assert report.note == ""
@@ -369,17 +365,9 @@ def test_switch_mechanistic_entangled_probability_is_half():
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
-def test_switch_blocked_independent_of_workers():
-    r1 = switch_protocol_blocked(QuantumEntangled(), 150_000, "mechanistic", 9)
-    r4 = switch_protocol_blocked(
-        QuantumEntangled(), 150_000, "mechanistic", 9, workers=4
-    )
-    assert r1 == r4
-
-
 def test_switch_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        switch_protocol(QuantumEntangled(), 10, "oracular", np.random.default_rng(0))
+        switch_protocol_blocked(QuantumEntangled(), 10, "oracular", seed=0)
 
 
 def test_untangle_requires_singlet():
@@ -447,8 +435,18 @@ def test_sample_pair_reuses_operators_and_expansion(count_calls):
 
 def test_block_sizes_cover_n_lazily():
     for n in (1, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 1, 3 * DEFAULT_BLOCK_SIZE + 5):
-        sizes = _block_sizes(n, DEFAULT_BLOCK_SIZE)
+        sizes = _block_sizes(n)
         assert isinstance(sizes, Iterator)
         sizes = list(sizes)
         assert sum(sizes) == n
         assert all(size == DEFAULT_BLOCK_SIZE for size in sizes[:-1])
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_samplers_reject_fewer_than_one_sample(n):
+    with pytest.raises(ValueError, match="at least one"):
+        untangle_counts(singlet(), n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one"):
+        pair_counts_blocked(QuantumEntangled(), Z, X, n, seed=0)
+    with pytest.raises(ValueError, match="at least one"):
+        switch_protocol_blocked(QuantumEntangled(), n, "predicted", seed=0)
