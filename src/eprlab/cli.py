@@ -723,6 +723,9 @@ def main(argv: list[str] | None = None) -> int:
             text = render(payload, settings["format"])
         except ValueError as exc:
             raise CliError(str(exc)) from None
+        except ArithmeticError as exc:
+            # An extreme but finite flag value can overflow a float.
+            raise CliError(f"a flag value is out of computable range: {exc!r}") from None
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,10 +10,11 @@ computable: conditioning on particle I's position predicts particle II
 near x + x0, and conditioning on particle I's momentum predicts
 particle II near -p, on the same state.
 
-Fourier convention: the unitary continuous transform
-G(p) = (2 pi)^{-d/2} integral of f(x) exp(-i p x) dx, discretized on the
-centered grid so that discrete Parseval holds exactly:
-sum |G|^2 dp^d = sum |f|^2 dx^d.
+Fourier convention: the unitary continuous transform in the d = 2
+coordinates (x_I, x_II),
+G(p) = (2 pi)^{-1} integral of f(x) exp(-i p . x) d^2x, discretized on
+the centered grid so that discrete Parseval holds exactly:
+sum |G|^2 dp^2 = sum |f|^2 dx^2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import UniformGrid1D, UniformGrid2D
+from .grids import UniformGrid2D
 
 __all__ = [
     "EprConfig",
@@ -39,15 +40,17 @@ __all__ = [
 NORM_ATOL = 1e-10
 
 
-def _l2_norm(values: np.ndarray, grid: UniformGrid1D | UniformGrid2D) -> float:
-    """Discrete L2 norm; each point weighs h in 1D and h^2 in 2D."""
-    cell = grid.cell_area if isinstance(grid, UniformGrid2D) else grid.spacing
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * cell))
+def _l2_norm(values: np.ndarray, grid: UniformGrid2D) -> float:
+    """Discrete L2 norm; each point weighs the cell area h^2."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing**2))
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a uniform grid, unit discrete L2 norm.
+    """Complex samples on a square 2D grid, unit discrete L2 norm.
+
+    The grid must be a UniformGrid2D and the values a (points, points)
+    array; anything else raises ValueError.
 
     The constructor validates the norm rather than fixing it; use
     normalized() to build one from unnormalized samples. Keeping the
@@ -59,16 +62,14 @@ class GridFunction:
     """
 
     values: np.ndarray
-    grid: UniformGrid1D | UniformGrid2D
+    grid: UniformGrid2D
 
     def __post_init__(self) -> None:
         self._own(np.array(self.values, dtype=complex))
         self._check_norm()
 
     @classmethod
-    def _adopt(
-        cls, values: np.ndarray, grid: UniformGrid1D | UniformGrid2D
-    ) -> GridFunction:
+    def _adopt(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
         """Wrap values, a complex array no caller holds, without the
         constructor's copy or norm check."""
         psi = object.__new__(cls)
@@ -77,9 +78,11 @@ class GridFunction:
         return psi
 
     def _own(self, values: np.ndarray) -> None:
-        expected = (self.grid.points,) * (
-            2 if isinstance(self.grid, UniformGrid2D) else 1
-        )
+        if not isinstance(self.grid, UniformGrid2D):
+            raise ValueError(
+                f"grid function requires a UniformGrid2D, got {type(self.grid).__name__}"
+            )
+        expected = (self.grid.points, self.grid.points)
         if values.shape != expected:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {expected}"
@@ -95,9 +98,7 @@ class GridFunction:
             )
 
     @classmethod
-    def normalized(
-        cls, values: np.ndarray, grid: UniformGrid1D | UniformGrid2D
-    ) -> GridFunction:
+    def normalized(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
         """values divided by their norm: one norm pass, one division.
 
         The quotient has unit norm by construction, so it is adopted
@@ -229,8 +230,6 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     The transform is computed once per psi and kept on it: every caller
     reads the same read-only samples.
     """
-    if not isinstance(psi.grid, UniformGrid2D):
-        raise ValueError("momentum representation requires a 2D grid function")
     return psi._momentum
 
 
@@ -250,8 +249,6 @@ def condition_on_position(psi: GridFunction, x: float) -> Distribution1D:
     The joint amplitude is sliced at the gridline nearest to x (recorded
     in sliced_at) and |amplitude|^2 is renormalized over x_II.
     """
-    if not isinstance(psi.grid, UniformGrid2D):
-        raise ValueError("conditioning requires a 2D grid function")
     i = _nearest_interior_index(psi.grid, x, "x")
     coords = psi.grid.coordinates
     return Distribution1D(
@@ -289,8 +286,6 @@ def relative_coordinate_marginal(
 
     Sums |Psi|^2 along the diagonals of constant coordinate difference.
     """
-    if not isinstance(psi.grid, UniformGrid2D):
-        raise ValueError("marginal requires a 2D grid function")
     n = psi.grid.points
     h = psi.grid.spacing
     density = np.abs(psi.values) ** 2

@@ -42,9 +42,9 @@ class UniformGrid1D:
         """Reciprocal-grid momenta in FFT output order (k = 2 pi f)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
-    def refined(self, factor: int = 2) -> UniformGrid1D:
-        """Same length with factor times the points: spacing / factor."""
-        return UniformGrid1D(self.length, self.points * factor)
+    def refined(self) -> UniformGrid1D:
+        """Same length with twice the points: half the spacing."""
+        return UniformGrid1D(self.length, 2 * self.points)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,3 @@ class UniformGrid2D:
     @property
     def coordinates(self) -> np.ndarray:
         return self.axis.coordinates
-
-    @property
-    def cell_area(self) -> float:
-        return self.spacing**2

@@ -18,9 +18,8 @@ are never silently substituted for each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from math import factorial
-from typing import Callable
 
 import numpy as np
 
@@ -53,8 +52,8 @@ DEFAULT_RADIAL_POINTS = 4096
 
 # Angular rule for overlaps: Gauss-Legendre points in cos(theta), and
 # trapezoid points in phi.
-DEFAULT_POINTS_THETA = 64
-DEFAULT_POINTS_PHI = 128
+POINTS_THETA = 64
+POINTS_PHI = 128
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,9 @@ class RadialGrid:
         return np.linspace(0.0, self.r_max, self.points)
 
     @classmethod
-    def for_n(cls, n: int, points: int = DEFAULT_RADIAL_POINTS) -> RadialGrid:
+    def for_n(cls, n: int) -> RadialGrid:
         """Default grid for principal quantum number n: r_max = 40 n^2."""
-        return cls(r_max=40.0 * n * n * BOHR_RADIUS, points=points)
+        return cls(r_max=40.0 * n * n * BOHR_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -272,18 +271,18 @@ def expect_radial_p_ground(
     return complex(-1j * HBAR * _simpson(integrand, grid.spacing))
 
 
-@lru_cache(maxsize=None)
-def _angular_quadrature(points_theta: int, points_phi: int):
+@cache
+def _angular_quadrature():
     """Tensor rule: Gauss-Legendre in cos(theta), trapezoid in phi.
 
-    Memoized per rule size; the returned arrays are read-only.
+    Built once; the returned arrays are read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(points_theta)
+    x, w = np.polynomial.legendre.leggauss(POINTS_THETA)
     theta = np.arccos(x)
-    phi = np.arange(points_phi) * (2.0 * np.pi / points_phi)
+    phi = np.arange(POINTS_PHI) * (2.0 * np.pi / POINTS_PHI)
     for array in (theta, w, phi):
         array.flags.writeable = False
-    w_phi = 2.0 * np.pi / points_phi
+    w_phi = 2.0 * np.pi / POINTS_PHI
     return theta, w, phi, w_phi
 
 
@@ -295,17 +294,15 @@ def _overlap_grid(n_max: int) -> RadialGrid:
 
 
 class _OverlapQuadrature:
-    """Overlap integrals on one angular rule.
+    """Overlap integrals on the angular rule.
 
     Each orbital's radial samples are computed once per radial grid,
     each radial integral once per (n, l) pair and grid, and each Y_lm
-    once per rule, however many pairs read them.
+    once, however many pairs read them.
     """
 
-    def __init__(self, points_theta: int, points_phi: int) -> None:
-        self.theta, self.w_theta, self.phi, self.w_phi = _angular_quadrature(
-            points_theta, points_phi
-        )
+    def __init__(self) -> None:
+        self.theta, self.w_theta, self.phi, self.w_phi = _angular_quadrature()
         self._radial: dict[tuple[RadialGrid, int, int], np.ndarray] = {}
         self._radial_integrals: dict[tuple, float] = {}
         self._harmonic: dict[tuple[int, int], np.ndarray] = {}
@@ -334,48 +331,37 @@ class _OverlapQuadrature:
             )
         return self._harmonic[(l, m)]
 
-    def overlap(
-        self, o1: Orbital, o2: Orbital, grid: RadialGrid | None = None
-    ) -> complex:
-        n_max = max(o1.n, o2.n)
-        if grid is None:
-            grid = _overlap_grid(n_max)
-        _check_containment(n_max, grid)
-        radial = self._radial_integral(grid, o1, o2)
+    def overlap(self, o1: Orbital, o2: Orbital) -> complex:
+        radial = self._radial_integral(_overlap_grid(max(o1.n, o2.n)), o1, o2)
         y1 = self._harmonic_samples(o1.l, o1.m)
         y2 = self._harmonic_samples(o2.l, o2.m)
         angular = np.sum(self.w_theta[:, None] * np.conj(y1) * y2) * self.w_phi
         return complex(radial * angular)
 
 
-def orbital_overlap(
-    o1: Orbital,
-    o2: Orbital,
-    grid: RadialGrid | None = None,
-    points_theta: int = DEFAULT_POINTS_THETA,
-    points_phi: int = DEFAULT_POINTS_PHI,
-) -> complex:
+def orbital_overlap(o1: Orbital, o2: Orbital) -> complex:
     """Quadrature of conj(psi_1) psi_2 over all space.
 
     The tensor-product quadrature sum factorizes exactly into a radial
     Simpson integral and a 2D angular sum, which is how it is computed.
+    The angular rule is POINTS_THETA Gauss-Legendre points in cos(theta)
+    by POINTS_PHI trapezoid points in phi.
 
-    The default grid is denser than the single-orbital default: a
-    cross-n overlap integrates the steepest orbital over the widest
-    orbital's range, so the spacing is capped at 0.02 Bohr radii.
+    The radial grid reaches r_max = 40 n_max^2, twice the containment
+    bound, and is denser than the single-orbital default: a cross-n
+    overlap integrates the steepest orbital over the widest orbital's
+    range, so the spacing is capped at 0.02 Bohr radii.
     """
-    return _OverlapQuadrature(points_theta, points_phi).overlap(o1, o2, grid)
+    return _OverlapQuadrature().overlap(o1, o2)
 
 
-def orthonormality_table(
-    max_n: int = 3, grid: RadialGrid | None = None
-) -> list[tuple[Orbital, Orbital, complex]]:
+def orthonormality_table(max_n: int = 3) -> list[tuple[Orbital, Orbital, complex]]:
     """Pairwise overlaps of all orbitals with n up to max_n.
 
     Diagonal entries should be 1 and off-diagonal entries 0, both to
-    quadrature accuracy. Each entry is orbital_overlap(o1, o2, grid) on
-    the default angular rule; the samples the pairs share are computed
-    once for the whole table.
+    quadrature accuracy. Each entry is orbital_overlap(o1, o2), bit for
+    bit; the samples the pairs share are computed once for the whole
+    table.
     """
     orbitals = [
         Orbital(n, l, m)
@@ -383,11 +369,11 @@ def orthonormality_table(
         for l in range(n)
         for m in range(-l, l + 1)
     ]
-    quadrature = _OverlapQuadrature(DEFAULT_POINTS_THETA, DEFAULT_POINTS_PHI)
+    quadrature = _OverlapQuadrature()
     table = []
     for i, o1 in enumerate(orbitals):
         for o2 in orbitals[i:]:
-            table.append((o1, o2, quadrature.overlap(o1, o2, grid)))
+            table.append((o1, o2, quadrature.overlap(o1, o2)))
     return table
 
 
@@ -426,14 +412,12 @@ def _apply_momentum(grid: UniformGrid1D, f: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _commutator_residual(
-    grid: UniformGrid1D, test_function: Callable[[np.ndarray], np.ndarray]
-) -> float:
+def _commutator_residual(grid: UniformGrid1D) -> float:
     x = grid.coordinates
-    f = np.asarray(test_function(x), dtype=complex)
-    interior_max = float(np.max(np.abs(f[1:-1])))
+    f = np.exp(-(x**2) / 2.0).astype(complex)
+    # f peaks at f(0) = 1, which is always an interior sample.
     edge = float(max(np.max(np.abs(f[:3])), np.max(np.abs(f[-3:]))))
-    if interior_max > 0.0 and edge > 1e-8 * interior_max:
+    if edge > 1e-8:
         raise ValueError(
             "test function does not decay at the grid edges; the one-sided "
             "boundary stencil would contaminate the residual"
@@ -443,28 +427,23 @@ def _commutator_residual(
     return float(np.max(residual[1:-1]))
 
 
-def grid_commutator_check(
-    grid: UniformGrid1D | None = None,
-    test_function: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> CommutatorReport:
-    """Residual of ([x, p] - i hbar) applied to a smooth decaying function.
+def grid_commutator_check(grid: UniformGrid1D | None = None) -> CommutatorReport:
+    """Residual of ([x, p] - i hbar) applied to f(x) = exp(-x^2 / 2).
 
     x is the diagonal coordinate operator and p the central-difference
     momentum. The residual is i hbar (f(x+h) + f(x-h) - 2 f(x)) / 2 at
     interior points, so it shrinks as h^2; the convergence order is
     estimated from the same check at half the spacing, and the constant
     reported satisfies residual <= constant * spacing^2.
+
+    f must fall below 1e-8 of its peak at the grid edges, which needs a
+    grid length above about 12.26; a shorter grid raises ValueError.
     """
     if grid is None:
         grid = UniformGrid1D(length=16.0, points=513)
-    if test_function is None:
-        test_function = lambda x: np.exp(-(x**2) / 2.0)
-    coarse = _commutator_residual(grid, test_function)
-    fine = _commutator_residual(grid.refined(), test_function)
-    if fine == 0.0 and coarse == 0.0:
-        order = 0.0
-    else:
-        order = float(np.log2(coarse / fine)) if fine > 0.0 else float("inf")
+    coarse = _commutator_residual(grid)
+    fine = _commutator_residual(grid.refined())
+    order = float(np.log2(coarse / fine)) if fine > 0.0 else float("inf")
     return CommutatorReport(
         max_interior_residual=coarse,
         refined_residual=fine,

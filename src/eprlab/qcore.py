@@ -135,7 +135,7 @@ class LinearOperator:
 
     @cached_property
     def _eigengroups(self) -> tuple[EigenGroup, ...]:
-        return _cluster(*self._spectrum, DEGENERACY_RTOL)
+        return _cluster(*self._spectrum)
 
     def kron(self, other: LinearOperator) -> LinearOperator:
         """Tensor (Kronecker) product acting on the joint space."""
@@ -263,11 +263,9 @@ def is_eigenstate(
     return None
 
 
-def _cluster(
-    values: np.ndarray, vectors: np.ndarray, rtol: float
-) -> tuple[EigenGroup, ...]:
+def _cluster(values: np.ndarray, vectors: np.ndarray) -> tuple[EigenGroup, ...]:
     scale = float(np.max(np.abs(values))) if values.size else 0.0
-    gap = rtol * scale
+    gap = DEGENERACY_RTOL * scale
     groups = []
     start = 0
     for i in range(1, values.size + 1):
@@ -278,20 +276,19 @@ def _cluster(
     return tuple(groups)
 
 
-def eigengroups(op: LinearOperator, rtol: float = DEGENERACY_RTOL) -> list[EigenGroup]:
+def eigengroups(op: LinearOperator) -> list[EigenGroup]:
     """Eigen-decompose a Hermitian operator into clustered eigenspaces.
 
-    Eigenvalues closer than rtol * max|eigenvalue| are merged into one
-    group, because Born probabilities belong to eigenspaces, not to the
-    arbitrary eigenvectors a solver picks inside a degenerate block.
+    Eigenvalues closer than DEGENERACY_RTOL * max|eigenvalue| are merged
+    into one group, because Born probabilities belong to eigenspaces,
+    not to the arbitrary eigenvectors a solver picks inside a degenerate
+    block.
     Groups are returned in ascending eigenvalue order. The operator's
     decomposition is computed once and its bases are read-only.
     """
     if not op.hermitian:
         raise ValueError("eigen-decomposition by eigenspace requires a Hermitian operator")
-    if rtol == DEGENERACY_RTOL:
-        return list(op._eigengroups)
-    return list(_cluster(*op._spectrum, rtol))
+    return list(op._eigengroups)
 
 
 def measure_observable(

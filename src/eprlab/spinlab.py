@@ -189,14 +189,6 @@ class PairCounts:
         opposite = self.up_down + self.down_up
         return (same - opposite) / self.n_pairs
 
-    @property
-    def p_electron_up(self) -> float:
-        return (self.up_up + self.up_down) / self.n_pairs
-
-    @property
-    def p_positron_up(self) -> float:
-        return (self.up_up + self.down_up) / self.n_pairs
-
 
 @dataclass(frozen=True)
 class SwitchReport:

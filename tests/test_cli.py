@@ -222,6 +222,35 @@ def test_non_finite_numbers_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutator-check", "--length", "1e160"],
+        ["epr", "--length", "1e300", "--sigma", "1e299"],
+    ],
+    ids=["commutator-length-1e160", "epr-sigma-1e299"],
+)
+def test_float_overflow_from_a_flag_exits_2(argv):
+    # A subprocess: numpy warns about the overflow on the way, and the
+    # test suite turns a RuntimeWarning into an exception in-process.
+    result = subprocess.run(
+        [sys.executable, "-m", "eprlab", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("length, code", [("12.0", 2), ("12.5", 0)])
+def test_commutator_check_length_must_let_the_gaussian_decay(length, code, capsys):
+    # exp(-x^2 / 2) falls below 1e-8 of its peak at the grid edges only
+    # for a length above about 12.26.
+    assert run_cli(["commutator-check", "--length", length])[0] == code
+    if code == 2:
+        assert "decay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, cap, grid",
     [
         ("epr", EPR_MAX_POINTS, "UniformGrid2D"),

@@ -27,6 +27,9 @@ from eprlab.grids import UniformGrid1D, UniformGrid2D
 
 CFG = EprConfig()
 PSI = build_epr_state(CFG)
+# A small grid for the GridFunction checks: 16 x 16 cells of area
+# (10/16)^2, so a constant 0.1 has unit norm.
+SMALL = UniformGrid2D(10.0, 16)
 
 
 def conditional_position_oracle(x, cfg):
@@ -60,11 +63,18 @@ def test_config_validates_geometry():
 
 
 def test_grid_function_validates_norm():
-    grid = UniformGrid1D(10.0, 100)
     with pytest.raises(ValueError, match="norm"):
-        GridFunction(np.ones(100), grid)
-    f = GridFunction.normalized(np.ones(100), grid)
+        GridFunction(np.ones((16, 16)), SMALL)
+    f = GridFunction.normalized(np.ones((16, 16)), SMALL)
     assert f.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_function_rejects_a_1d_grid():
+    grid = UniformGrid1D(10.0, 100)
+    with pytest.raises(ValueError, match="UniformGrid2D"):
+        GridFunction(np.full(100, 1.0 / np.sqrt(10.0)), grid)
+    with pytest.raises(ValueError, match="UniformGrid2D"):
+        GridFunction.normalized(np.ones(100), grid)
 
 
 def test_state_is_normalized():
@@ -205,31 +215,29 @@ def test_momentum_representation_is_computed_once_and_read_only(count_calls):
 
 
 def test_normalized_takes_one_norm_pass(count_calls):
-    grid = UniformGrid1D(10.0, 100)
-    raw = np.linspace(1.0, 2.0, 100)
+    raw = np.linspace(1.0, 2.0, 256).reshape(16, 16)
     norm_calls = count_calls(eprpair, "_l2_norm")
-    f = GridFunction.normalized(raw, grid)
+    f = GridFunction.normalized(raw, SMALL)
     assert len(norm_calls) == 1
     assert not f.values.flags.writeable
     assert f.norm == pytest.approx(1.0, abs=1e-12)
     raw[:] = 0.0
-    assert f.values[0] != 0.0
+    assert f.values[0, 0] != 0.0
 
 
 def test_constructor_copies_and_validates():
-    grid = UniformGrid1D(10.0, 100)
-    values = np.full(100, 1.0 / np.sqrt(10.0), dtype=complex)
-    f = GridFunction(values, grid)
+    values = np.full((16, 16), 0.1, dtype=complex)
+    f = GridFunction(values, SMALL)
     values[:] = 0.0
-    assert f.values[0] != 0.0
+    assert f.values[0, 0] != 0.0
     assert not f.values.flags.writeable
     with pytest.raises(ValueError, match="shape"):
-        GridFunction(values[:50], grid)
+        GridFunction(values[:8], SMALL)
     with pytest.raises(ValueError, match="norm"):
-        GridFunction(np.full(100, np.nan), grid)
+        GridFunction(np.full((16, 16), np.nan), SMALL)
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e200])
 def test_normalized_rejects_non_finite_norm(fill):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="normalize"):
-        GridFunction.normalized(np.full(100, fill), UniformGrid1D(10.0, 100))
+        GridFunction.normalized(np.full((16, 16), fill), SMALL)

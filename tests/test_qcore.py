@@ -331,18 +331,9 @@ def test_eigendecomposition_runs_once_per_operator(count_calls):
     assert len(eigh_calls) == 1
 
 
-def test_eigengroups_other_rtol_reclusters_the_cached_spectrum(count_calls):
-    eigh_calls = count_calls(np.linalg, "eigh")
-    op = LinearOperator(np.diag([1.0, 1.0 + 1e-6, 3.0]).astype(complex), hermitian=True)
-    assert [g.basis.shape[1] for g in eigengroups(op)] == [1, 1, 1]
-    assert [g.basis.shape[1] for g in eigengroups(op, rtol=1e-3)] == [2, 1]
-    assert [g.basis.shape[1] for g in eigengroups(op)] == [1, 1, 1]
-    assert len(eigh_calls) == 1
-
-
 def test_cached_eigenbases_are_read_only():
     op = random_hermitian(np.random.default_rng(12), 3)
-    for group in eigengroups(op) + eigengroups(op, rtol=0.5):
+    for group in eigengroups(op):
         assert not group.basis.flags.writeable
         with pytest.raises(ValueError):
             group.basis[0, 0] = 0.0
