@@ -127,9 +127,11 @@ MAX_SAMPLES = 2**36
 SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
                  100_000, "number of pairs to sample")
 
-# epr holds points^2 complex grids. commutator-check holds a few arrays
-# of 2 points samples (about 240 MB in all at its cap); hydrogen holds a
-# few radial arrays of 8 MB each at its cap.
+# epr holds one real points^2 state and its points x (points//2 + 1)
+# complex half spectrum (a peak of about 100 MB at its cap).
+# commutator-check holds a few arrays of 2 points samples (about 240 MB
+# in all at its cap); hydrogen holds a few radial arrays of 8 MB each at
+# its cap.
 EPR_MAX_POINTS = 2048
 HYDROGEN_MAX_POINTS = 2**20
 COMMUTATOR_MAX_POINTS = HYDROGEN_MAX_POINTS
@@ -288,7 +290,6 @@ def run_epr(settings: dict) -> dict:
         build_epr_state,
         condition_on_momentum,
         condition_on_position,
-        momentum_representation,
     )
     from eprlab.grids import UniformGrid2D
 
@@ -300,8 +301,8 @@ def run_epr(settings: dict) -> dict:
     psi = build_epr_state(cfg)
     position = condition_on_position(psi, settings["position"])
     momentum = condition_on_momentum(psi, settings["momentum"])
-    # The transform condition_on_momentum computed, kept on psi.
-    parseval_error = abs(momentum_representation(psi).norm - 1.0)
+    # From the half spectrum condition_on_momentum computed, kept on psi.
+    parseval_error = abs(psi.momentum_norm - 1.0)
 
     expected_x = position.sliced_at + cfg.x0
     expected_p = -momentum.sliced_at
@@ -509,10 +510,12 @@ COMMANDS: dict[str, CommandSpec] = {
         (
             Option("length", "--length",
                    _float_value("--length", positive=True), 16.0,
-                   "grid extent"),
+                   "grid extent; must exceed about 12.26 for the Gaussian "
+                   "to decay at the edges"),
             Option("points", "--points",
                    _int_in_range("--points", 5, COMMUTATOR_MAX_POINTS), 513,
-                   "grid points"),
+                   "grid points; the spacing length/points must be at "
+                   "most 0.5 to resolve the Gaussian"),
         ),
         run_commutator_check,
     ),

@@ -15,6 +15,16 @@ coordinates (x_I, x_II),
 G(p) = (2 pi)^{-1} integral of f(x) exp(-i p . x) d^2x, discretized on
 the centered grid so that discrete Parseval holds exactly:
 sum |G|^2 dp^2 = sum |f|^2 dx^2.
+
+Real state, half spectrum: the pair is a product f(x_I - x_II) g(x_I + x_II)
+of two real Gaussians, and on the uniform grid each factor takes only
+2 points - 1 values, so the state is built from those values and kept
+real (float64). The transform of a real function obeys
+G(-p) = conj(G(p)), so only np.fft.rfft2's half spectrum, points x
+(points//2 + 1), is computed and kept; a momentum row is restored from
+it when it is read. The real position samples are the one points x
+points array an epr document holds; the full complex momentum grid is
+built only when momentum_representation asks for it.
 """
 
 from __future__ import annotations
@@ -45,33 +55,43 @@ def _l2_norm(values: np.ndarray, grid: UniformGrid2D) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing**2))
 
 
+def _sample_dtype(values) -> type:
+    """float for real samples, complex for complex ones."""
+    return complex if np.iscomplexobj(values) else float
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples on a square 2D grid, unit discrete L2 norm.
+    """Real or complex samples on a square 2D grid, unit discrete L2 norm.
 
     The grid must be a UniformGrid2D and the values a (points, points)
-    array; anything else raises ValueError.
+    array; anything else raises ValueError. Real samples are kept as
+    float64 and complex ones as complex128.
 
     The constructor validates the norm rather than fixing it; use
     normalized() to build one from unnormalized samples. Keeping the
     check strict makes norm preservation under the Fourier transform an
     observable fact instead of a silent correction.
 
-    The values are read-only and belong to the instance. The norm and
-    the momentum representation are computed on first use and kept.
+    The values are read-only and belong to the instance. The norm, the
+    rfft2 half spectrum of real samples and the momentum-side norm are
+    computed on first use and kept; momentum rows, and the full momentum
+    representation, are restored from the half spectrum. Only real
+    samples have a momentum transform here: for complex ones it raises
+    ValueError.
     """
 
     values: np.ndarray
     grid: UniformGrid2D
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.values, dtype=complex))
-        self._check_norm()
+        self._own(np.array(self.values, dtype=_sample_dtype(self.values)))
+        self._check_norm(self.norm)
 
     @classmethod
     def _adopt(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
-        """Wrap values, a complex array no caller holds, without the
-        constructor's copy or norm check."""
+        """Wrap values, a float or complex array no caller holds, without
+        the constructor's copy or norm check."""
         psi = object.__new__(cls)
         object.__setattr__(psi, "grid", grid)
         psi._own(values)
@@ -90,11 +110,12 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def _check_norm(self) -> None:
+    @staticmethod
+    def _check_norm(norm: float) -> None:
         # Written so that a NaN norm fails too.
-        if not abs(self.norm - 1.0) <= NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(
-                f"discrete L2 norm must be 1 within {NORM_ATOL:g}, got {self.norm!r}"
+                f"discrete L2 norm must be 1 within {NORM_ATOL:g}, got {norm!r}"
             )
 
     @classmethod
@@ -104,7 +125,7 @@ class GridFunction:
         The quotient has unit norm by construction, so it is adopted
         without a second norm pass or a copy.
         """
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values, dtype=_sample_dtype(values))
         norm = _l2_norm(values, grid)
         if norm == 0.0:
             raise ValueError("cannot normalize an identically zero grid function")
@@ -116,21 +137,66 @@ class GridFunction:
     def norm(self) -> float:
         return _l2_norm(self.values, self.grid)
 
+    @property
+    def _momentum_grid(self) -> UniformGrid2D:
+        """The centered momentum grid, spacing 2 pi / (points h)."""
+        return UniformGrid2D(
+            length=2.0 * np.pi / self.grid.spacing, points=self.grid.points
+        )
+
     @cached_property
-    def _momentum(self) -> GridFunction:
-        """What momentum_representation returns, computed once."""
+    def _half_spectrum(self) -> np.ndarray:
+        """np.fft.rfft2 of the samples times h^2 / 2 pi, computed once:
+        columns k2 = 0 .. points//2 of the scaled transform in FFT order,
+        before the phase and the shift."""
+        if np.iscomplexobj(self.values):
+            raise ValueError(
+                "the momentum transform needs real position samples, got complex"
+            )
+        half = np.fft.rfft2(self.values)
+        half *= self.grid.spacing**2 / (2.0 * np.pi)
+        half.setflags(write=False)
+        return half
+
+    @cached_property
+    def momentum_norm(self) -> float:
+        """Discrete L2 norm of the momentum representation, read from the
+        half spectrum.
+
+        Columns 1 .. stand for themselves and their mirrors -k2 and weigh
+        2; the zero column and, for an even point count, the Nyquist
+        column are their own mirrors and weigh 1.
+        """
         n = self.grid.points
-        h = self.grid.spacing
+        density = np.abs(self._half_spectrum) ** 2
+        density[:, 1 : (n + 1) // 2] *= 2.0
+        return float(np.sqrt(np.sum(density) * self._momentum_grid.spacing**2))
+
+    def _momentum_rows(self, rows) -> np.ndarray:
+        """Rows of momentum_representation(self).values, restored from
+        the half spectrum; rows is a centered-grid row index or an array
+        of them. Parseval is checked, not assumed, first."""
+        self._check_norm(self.momentum_norm)
+        half = self._half_spectrum
+        n = self.grid.points
+        m = half.shape[1]
+        # The FFT-order row of each centered row, as fftshift maps them.
+        k = (np.asarray(rows) - n // 2) % n
+        restored = np.empty(k.shape + (n,), dtype=complex)
+        restored[..., :m] = half[k]
+        # A real function's transform has G[k1, k2] = conj(G[-k1, -k2]).
+        restored[..., m:] = np.conj(half[-k % n, n - m : 0 : -1])
         # Phase factor re-anchors the FFT's index origin to the centered
         # coordinate x = (i - n//2) h along each axis.
-        phase = np.exp(1j * self.grid.axis.momenta * (n // 2) * h)
-        transformed = np.fft.fft2(self.values)
-        transformed *= h**2 / (2.0 * np.pi)
-        transformed *= phase[:, None] * phase[None, :]
-        p_grid = UniformGrid2D(length=2.0 * np.pi / h, points=n)
-        g = GridFunction._adopt(np.fft.fftshift(transformed), p_grid)
-        g._check_norm()
-        return g
+        phase = np.exp(1j * self.grid.axis.momenta * (n // 2) * self.grid.spacing)
+        restored *= phase[k][..., None] * phase
+        return np.fft.fftshift(restored, axes=-1)
+
+    @cached_property
+    def _momentum(self) -> GridFunction:
+        """What momentum_representation returns, expanded once."""
+        rows = self._momentum_rows(np.arange(self.grid.points))
+        return GridFunction._adopt(rows, self._momentum_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,14 +276,26 @@ def build_epr_state(cfg: EprConfig) -> GridFunction:
     exp(-((x_I + x_II) / 2)^2 / (4 Lambda^2)), normalized on the grid,
     so |Psi|^2 has relative-coordinate width sigma and center-of-mass
     width Lambda.
+
+    With x_i = (i - n//2) h, x_I - x_II depends on i - j and x_I + x_II
+    on i + j, so each factor is evaluated at its 2n - 1 values and the
+    real n x n state is one product of a Toeplitz and a Hankel view of
+    them.
     """
-    x = cfg.grid.coordinates
-    rel = x[:, None] - x[None, :] + cfg.x0
-    com = (x[:, None] + x[None, :]) / 2.0
-    raw = np.exp(
-        -(rel**2) / (4.0 * cfg.sigma**2)
-        - com**2 / (4.0 * cfg.envelope_width**2)
+    n = cfg.grid.points
+    h = cfg.grid.spacing
+    steps = np.arange(2 * n - 1)
+    # relative[k] at i - j = k - (n - 1); center[k] at i + j = k.
+    relative = np.exp(
+        -(((steps - (n - 1)) * h + cfg.x0) ** 2) / (4.0 * cfg.sigma**2)
     )
+    center = np.exp(
+        -(((steps - 2 * (n // 2)) * h / 2.0) ** 2) / (4.0 * cfg.envelope_width**2)
+    )
+    windows = np.lib.stride_tricks.sliding_window_view
+    # windows(v, n)[i, j] = v[i + j]; with its columns reversed it reads
+    # v[i - j + n - 1].
+    raw = windows(relative, n)[:, ::-1] * windows(center, n)
     return GridFunction.normalized(raw, cfg.grid)
 
 
@@ -227,8 +305,11 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     The momentum grid has spacing 2 pi / (n h) and follows the same
     centered convention as the position grid; discrete Parseval holds
     exactly, so the result passes the unit-norm validation untouched.
-    The transform is computed once per psi and kept on it: every caller
-    reads the same read-only samples.
+    psi must be real. The full complex grid is expanded from psi's kept
+    rfft2 half spectrum on the first call and kept on psi: every caller
+    reads the same read-only samples. No epr document needs it;
+    condition_on_momentum and GridFunction.momentum_norm read the half
+    spectrum directly.
     """
     return psi._momentum
 
@@ -261,20 +342,21 @@ def condition_on_position(psi: GridFunction, x: float) -> Distribution1D:
 def condition_on_momentum(psi: GridFunction, p: float) -> Distribution1D:
     """Distribution of p_II after particle I's momentum is found to be p.
 
-    Transforms to the momentum representation, slices at the momentum
-    gridline nearest to p, and renormalizes.
+    Slices the momentum representation at the momentum gridline nearest
+    to p and renormalizes; only that row is restored from psi's half
+    spectrum.
     """
-    g = momentum_representation(psi)
     nyquist = np.pi / psi.grid.spacing
     if not abs(p) < nyquist:
         raise ValueError(
             f"p = {p:g} is at or beyond the grid Nyquist bound {nyquist:g}"
         )
-    i = _nearest_interior_index(g.grid, p, "p")
-    coords = g.grid.coordinates
+    p_grid = psi._momentum_grid
+    i = _nearest_interior_index(p_grid, p, "p")
+    coords = p_grid.coordinates
     return Distribution1D(
         coordinates=coords,
-        probabilities=np.abs(g.values[i, :]) ** 2,
+        probabilities=np.abs(psi._momentum_rows(i)) ** 2,
         sliced_at=float(coords[i]),
     )
 

@@ -50,6 +50,11 @@ MIN_R_MAX_PER_N2 = 20.0
 
 DEFAULT_RADIAL_POINTS = 4096
 
+# Widest spacing of the commutator check: its Gaussian exp(-x^2 / 2)
+# has width 1, and the grid must resolve it as EprConfig asks of sigma
+# (sigma >= 2 h).
+MAX_COMMUTATOR_SPACING = 0.5
+
 # Angular rule for overlaps: Gauss-Legendre points in cos(theta), and
 # trapezoid points in phi.
 POINTS_THETA = 64
@@ -437,10 +442,18 @@ def grid_commutator_check(grid: UniformGrid1D | None = None) -> CommutatorReport
     reported satisfies residual <= constant * spacing^2.
 
     f must fall below 1e-8 of its peak at the grid edges, which needs a
-    grid length above about 12.26; a shorter grid raises ValueError.
+    grid length above about 12.26, and the spacing must be at most
+    MAX_COMMUTATOR_SPACING = 0.5 for the grid to resolve f; any other
+    grid raises ValueError.
     """
     if grid is None:
         grid = UniformGrid1D(length=16.0, points=513)
+    if not grid.spacing <= MAX_COMMUTATOR_SPACING:
+        raise ValueError(
+            f"grid spacing {grid.spacing:g} is above {MAX_COMMUTATOR_SPACING:g}: "
+            "the grid does not resolve the test Gaussian exp(-x^2/2); "
+            "use more points or a shorter length"
+        )
     coarse = _commutator_residual(grid)
     fine = _commutator_residual(grid.refined())
     order = float(np.log2(coarse / fine)) if fine > 0.0 else float("inf")

@@ -250,6 +250,28 @@ def test_commutator_check_length_must_let_the_gaussian_decay(length, code, capsy
         assert "decay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["600", "1e155"])
+def test_commutator_check_rejects_an_unresolvable_spacing(length):
+    # At 513 points a length above 256.5 puts the spacing above 0.5. A
+    # child with RuntimeWarnings as errors: the check must exit before
+    # numpy can overflow on the grid.
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eprlab",
+         "commutator-check", "--length", length],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "spacing" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_commutator_check_accepts_the_widest_spacing():
+    doc = run_json(["commutator-check", "--length", "256.5"])
+    assert doc["results"]["spacing"] == 0.5
+
+
 @pytest.mark.parametrize(
     "command, cap, grid",
     [

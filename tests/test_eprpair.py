@@ -9,6 +9,8 @@ momentum space the same algebra gives a conditional mean
 1 / sqrt(sigma^2 + 4 Lambda^2).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,78 @@ def test_momentum_grid_geometry():
     assert g.grid.spacing == pytest.approx(2.0 * np.pi / (n * h), rel=1e-12)
 
 
+def full_grid_transform_oracle(psi):
+    """The transform as a full complex fft2: the h^2 / 2 pi scale, the
+    phase outer product that re-anchors the FFT's index origin to the
+    centered coordinates, then fftshift."""
+    n, h = psi.grid.points, psi.grid.spacing
+    phase = np.exp(1j * psi.grid.axis.momenta * (n // 2) * h)
+    transformed = np.fft.fft2(psi.values.astype(complex))
+    transformed *= h**2 / (2.0 * np.pi)
+    transformed *= phase[:, None] * phase[None, :]
+    return np.fft.fftshift(transformed)
+
+
+def direct_state_oracle(cfg):
+    """The pair state evaluated point by point on the n x n grid."""
+    x = cfg.grid.coordinates
+    rel = x[:, None] - x[None, :] + cfg.x0
+    com = (x[:, None] + x[None, :]) / 2.0
+    raw = np.exp(
+        -(rel**2) / (4.0 * cfg.sigma**2) - com**2 / (4.0 * cfg.envelope_width**2)
+    )
+    return raw / np.sqrt(np.sum(raw**2) * cfg.grid.spacing**2)
+
+
+@pytest.mark.parametrize("points", [64, 65, 128])
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_state_matches_direct_evaluation(points, x0):
+    cfg = EprConfig(x0=x0, grid=UniformGrid2D(10.0, points))
+    psi = build_epr_state(cfg)
+    assert psi.values.dtype == np.float64
+    np.testing.assert_allclose(psi.values, direct_state_oracle(cfg), rtol=0, atol=1e-14)
+
+
+# An odd point count has no Nyquist column in its half spectrum.
+@pytest.mark.parametrize("points", [64, 65, 128])
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_half_spectrum_matches_full_grid_transform(points, x0):
+    psi = build_epr_state(EprConfig(x0=x0, grid=UniformGrid2D(10.0, points)))
+    expected = full_grid_transform_oracle(psi)
+    g = momentum_representation(psi)
+    np.testing.assert_allclose(g.values, expected, rtol=0, atol=1e-14)
+
+    full_norm = np.sqrt(np.sum(np.abs(expected) ** 2) * g.grid.spacing**2)
+    assert abs(psi.momentum_norm - full_norm) <= 1e-14
+
+    coords = g.grid.coordinates
+    for p in (0.0, 1.0, -2.0):
+        i = int(np.argmin(np.abs(coords - p)))
+        dist = condition_on_momentum(psi, p)
+        oracle = Distribution1D(coords, np.abs(expected[i]) ** 2)
+        assert dist.sliced_at == coords[i]
+        np.testing.assert_allclose(
+            dist.probabilities, oracle.probabilities, rtol=0, atol=1e-14
+        )
+
+
+def test_real_samples_stay_real():
+    f = GridFunction(np.full((16, 16), 0.1), SMALL)
+    assert f.values.dtype == np.float64
+    assert GridFunction.normalized(np.ones((16, 16)), SMALL).values.dtype == np.float64
+
+
+def test_transform_rejects_complex_samples():
+    f = GridFunction(np.full((16, 16), 0.1 + 0.0j), SMALL)
+    assert f.values.dtype == np.complex128
+    with pytest.raises(ValueError, match="real"):
+        momentum_representation(f)
+    with pytest.raises(ValueError, match="real"):
+        condition_on_momentum(f, 0.0)
+    with pytest.raises(ValueError, match="real"):
+        f.momentum_norm
+
+
 def test_conditional_momentum_anti_correlated():
     lam = CFG.envelope_width
     for p in (0.0, 1.0, -1.0):
@@ -191,19 +265,42 @@ def test_distribution_moments():
 
 
 def test_epr_document_runs_one_fft(count_calls):
+    rfft_calls = count_calls(np.fft, "rfft2")
     fft_calls = count_calls(np.fft, "fft2")
     settings = cli.resolve_settings(cli.build_parser().parse_args(["epr"]))
     cli.run_epr(settings)
-    assert len(fft_calls) == 1
+    assert len(rfft_calls) == 1
+    assert len(fft_calls) == 0
+
+
+def test_epr_document_peak_memory_stays_below_two_complex_grids():
+    # The real state and its half spectrum, about 1.5 n^2 complex
+    # samples at the peak; a full complex state or momentum grid
+    # would add one n^2 * 16 B each.
+    n = 512
+    settings = cli.resolve_settings(
+        cli.build_parser().parse_args(["epr", "--points", str(n)])
+    )
+    tracemalloc.start()
+    try:
+        cli.run_epr(settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 16
 
 
 def test_momentum_representation_is_computed_once_and_read_only(count_calls):
     psi = build_epr_state(EprConfig(grid=UniformGrid2D(20.0, 128)))
+    rfft_calls = count_calls(np.fft, "rfft2")
     fft_calls = count_calls(np.fft, "fft2")
     first = momentum_representation(psi)
     kept = first.values.copy()
     second = momentum_representation(psi)
-    assert len(fft_calls) == 1
+    condition_on_momentum(psi, 1.0)
+    assert psi.momentum_norm == pytest.approx(1.0, abs=1e-12)
+    assert len(rfft_calls) == 1
+    assert len(fft_calls) == 0
     assert second is first
     assert not second.values.flags.writeable
     with pytest.raises(ValueError):

@@ -209,6 +209,11 @@ def test_commutator_check_rejects_non_decaying():
         grid_commutator_check(UniformGrid1D(length=12.0, points=513))
 
 
+def test_commutator_check_rejects_a_spacing_above_half():
+    with pytest.raises(ValueError, match="spacing"):
+        grid_commutator_check(UniformGrid1D(length=600.0, points=513))
+
+
 def test_commutator_check_custom_grid():
     grid = UniformGrid1D(length=24.0, points=257)
     report = grid_commutator_check(grid=grid)
