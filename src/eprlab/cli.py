@@ -6,9 +6,9 @@ quantities), and statistics (uncertainty estimates and tolerances).
 The document is serialized as JSON with sorted keys or as a flat
 two-column CSV of dotted keys, so a fixed (seed, config) pair yields
 byte-identical output. Presentation knobs (--format, --output,
---workers, --config) are excluded from the config echo; sampling runs
-in fixed-size blocks with one random stream per block index, so
---workers, accepted for compatibility, changes nothing.
+--workers, --config) are excluded from the config echo; each tally is
+one draw from one random stream of the seed, so --workers, accepted for
+compatibility, changes nothing.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or validation
 error, or a result holding a non-finite number (NaN or infinity), which
@@ -27,7 +27,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from eprlab.spinlab import P2_RULES, SWITCH_MODES
+from eprlab import eprpair, grids, hydrogen, spinlab
+from eprlab.constants import BOHR_RADIUS
+from eprlab.rng import make_stream
 
 OUTPUT_DIR_ENV = "EPRLAB_OUTPUT_DIR"
 
@@ -115,13 +117,14 @@ COMMON_OPTIONS = (SEED, WORKERS, FORMAT, OUTPUT)
 
 MODEL = Option("model", "--model", _choice("--model", MODEL_CHOICES), "p1",
                "pair source: p1 entangled singlet, p2 preassigned definite")
-P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", P2_RULES),
+P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", spinlab.P2_RULES),
                  "deterministic",
                  "p2 response rule: deterministic sign rule or "
                  "probabilistic projection rule")
-# Pairs and draws are sampled in 65536-sized blocks, one at a time; the
-# cap is 2^20 blocks. On a 2-CPU machine that is about 40 s per pair
-# tally (35 us per block) and about 6 min of untangle draws.
+# A pair tally is one draw whatever its size, but untangle reads one
+# uniform per draw (in chunks of spinlab.DEFAULT_BLOCK_SIZE); the cap
+# bounds those uniforms, about 6 min of untangle draws on a 2-CPU
+# machine.
 MAX_SAMPLES = 2**36
 
 SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
@@ -152,8 +155,6 @@ def _base_config(settings: dict, **overrides) -> dict:
 def _analyzer_settings(values: list[float], count: int):
     """Interpret --angles: either `count` polar angles (azimuth 0) or
     `count` polar,azimuth pairs, all in degrees."""
-    from eprlab.spinlab import AnalyzerSetting
-
     if len(values) == count:
         pairs = [(float(v), 0.0) for v in values]
     elif len(values) == 2 * count:
@@ -166,16 +167,14 @@ def _analyzer_settings(values: list[float], count: int):
             f"--angles needs {count} polar angles or {2 * count} "
             f"interleaved polar,azimuth values, got {len(values)}"
         )
-    settings = [AnalyzerSetting.from_degrees(t, p) for t, p in pairs]
+    settings = [spinlab.AnalyzerSetting.from_degrees(t, p) for t, p in pairs]
     return settings, [[t, p] for t, p in pairs]
 
 
 def _pair_model(settings: dict):
-    from eprlab.spinlab import PreassignedDefinite, QuantumEntangled
-
     if settings["model"] == "p1":
-        return QuantumEntangled()
-    return PreassignedDefinite(rule=settings["p2_rule"])
+        return spinlab.QuantumEntangled()
+    return spinlab.PreassignedDefinite(rule=settings["p2_rule"])
 
 
 def run_hydrogen(settings: dict) -> dict:
@@ -185,30 +184,23 @@ def run_hydrogen(settings: dict) -> dict:
     {n1, l1, m1, n2, l2, m2, real, imag}.
     statistics: max_relative_error_mean_radius,
     max_orthonormality_deviation."""
-    from eprlab.constants import BOHR_RADIUS
-    from eprlab.hydrogen import (
-        RadialGrid,
-        expect_r,
-        expect_radial_p_ground,
-        orthonormality_table,
-    )
 
-    def grid_for(n: int) -> RadialGrid | None:
+    def grid_for(n: int) -> hydrogen.RadialGrid | None:
         if settings["r_max"] is None and settings["points"] is None:
             return None
         r_max = settings["r_max"]
         if r_max is None:
-            r_max = RadialGrid.for_n(n).r_max
+            r_max = hydrogen.RadialGrid.for_n(n).r_max
         points = settings["points"]
         if points is None:
-            points = RadialGrid.for_n(n).points
-        return RadialGrid(r_max, points)
+            points = hydrogen.RadialGrid.for_n(n).points
+        return hydrogen.RadialGrid(r_max, points)
 
     rows = []
     worst_radius = 0.0
     for n in range(1, settings["max_n"] + 1):
         for l in range(n):
-            value = expect_r(n, l, grid_for(n))
+            value = hydrogen.expect_r(n, l, grid_for(n))
             closed = 0.5 * BOHR_RADIUS * (3 * n * n - l * (l + 1))
             relative = abs(value - closed) / closed
             worst_radius = max(worst_radius, relative)
@@ -222,12 +214,12 @@ def run_hydrogen(settings: dict) -> dict:
                 }
             )
 
-    bare = expect_radial_p_ground(grid_for(1))
-    hermitized = expect_radial_p_ground(grid_for(1), hermitized=True)
+    bare = hydrogen.expect_radial_p_ground(grid_for(1))
+    hermitized = hydrogen.expect_radial_p_ground(grid_for(1), hermitized=True)
 
     table = []
     worst_overlap = 0.0
-    for o1, o2, overlap in orthonormality_table(settings["ortho_max_n"]):
+    for o1, o2, overlap in hydrogen.orthonormality_table(settings["ortho_max_n"]):
         expected = 1.0 if o1 == o2 else 0.0
         worst_overlap = max(worst_overlap, abs(overlap - expected))
         table.append(
@@ -261,11 +253,8 @@ def run_hydrogen(settings: dict) -> dict:
 def run_commutator_check(settings: dict) -> dict:
     """results: convergence_order, max_interior_residual,
     refined_residual, residual_constant, spacing. statistics: empty."""
-    from eprlab.grids import UniformGrid1D
-    from eprlab.hydrogen import grid_commutator_check
-
-    report = grid_commutator_check(
-        UniformGrid1D(length=settings["length"], points=settings["points"])
+    report = hydrogen.grid_commutator_check(
+        grids.UniformGrid1D(length=settings["length"], points=settings["points"])
     )
     return {
         "config": _base_config(settings),
@@ -285,22 +274,14 @@ def run_epr(settings: dict) -> dict:
     {slice_at, mean, std, expected_mean}, parseval_error,
     envelope_width. statistics: position_mean_deviation,
     position_tolerance, momentum_mean_deviation, momentum_tolerance."""
-    from eprlab.eprpair import (
-        EprConfig,
-        build_epr_state,
-        condition_on_momentum,
-        condition_on_position,
-    )
-    from eprlab.grids import UniformGrid2D
-
-    cfg = EprConfig(
+    cfg = eprpair.EprConfig(
         x0=settings["x0"],
         sigma=settings["sigma"],
-        grid=UniformGrid2D(length=settings["length"], points=settings["points"]),
+        grid=grids.UniformGrid2D(length=settings["length"], points=settings["points"]),
     )
-    psi = build_epr_state(cfg)
-    position = condition_on_position(psi, settings["position"])
-    momentum = condition_on_momentum(psi, settings["momentum"])
+    psi = eprpair.build_epr_state(cfg)
+    position = eprpair.condition_on_position(psi, settings["position"])
+    momentum = eprpair.condition_on_momentum(psi, settings["momentum"])
     # From the half spectrum condition_on_momentum computed, kept on psi.
     parseval_error = abs(psi.momentum_norm - 1.0)
 
@@ -337,10 +318,8 @@ def run_singlet_correlation(settings: dict) -> dict:
     """results: correlation, n_pairs, counts {up_up, up_down, down_up,
     down_down}, electron_setting, positron_setting.
     statistics: standard_error."""
-    from eprlab.spinlab import pair_counts_blocked
-
     (a, b), pairs = _analyzer_settings(settings["angles"], 2)
-    counts = pair_counts_blocked(
+    counts = spinlab.pair_counts_blocked(
         _pair_model(settings),
         a,
         b,
@@ -373,10 +352,8 @@ def run_chsh(settings: dict) -> dict:
     """results: s, correlations rows {electron_setting,
     positron_setting, sign, value, n_pairs}. statistics:
     standard_error, classical_bound, tsirelson_bound."""
-    from eprlab.spinlab import chsh_blocked
-
     (a, a2, b, b2), pairs = _analyzer_settings(settings["angles"], 4)
-    all_counts = chsh_blocked(
+    all_counts = spinlab.chsh_blocked(
         _pair_model(settings), a, a2, b, b2, settings["samples"], settings["seed"]
     )
     combination = (
@@ -417,9 +394,7 @@ def run_switch(settings: dict) -> dict:
     n_electron_up, n_positron_down, note (non-empty when the
     mechanistic run diverges from the predicted table).
     statistics: standard_error_electron_up."""
-    from eprlab.spinlab import switch_protocol_blocked
-
-    report = switch_protocol_blocked(
+    report = spinlab.switch_protocol_blocked(
         _pair_model(settings),
         settings["samples"],
         settings["mode"],
@@ -449,17 +424,14 @@ def run_untangle(settings: dict) -> dict:
     """results: n_draws, up_down, down_up,
     max_residual_schmidt_weight (0 for exact product outputs).
     statistics: branch_standard_error."""
-    from eprlab.rng import make_stream
-    from eprlab.spinlab import singlet, untangle_branches, untangle_counts
-
-    state = singlet()
+    state = spinlab.singlet()
     n = settings["samples"]
-    tallies = untangle_counts(state, n, make_stream(settings["seed"], 0))
+    tallies = spinlab.untangle_counts(state, n, make_stream(settings["seed"], 0))
     # Every draw yields one of the two branch states, so the residual
     # over all outputs is the residual over the branches that occurred.
     worst = max(
         float(branch.schmidt_coefficients()[1])
-        for branch, count in zip(untangle_branches(state), tallies)
+        for branch, count in zip(spinlab.untangle_branches(state), tallies)
         if count
     )
     return {
@@ -497,11 +469,13 @@ COMMANDS: dict[str, CommandSpec] = {
             Option("r_max", "--r-max", _float_value("--r-max", positive=True),
                    None, "radial grid extent in Bohr radii for the mean "
                          "radii and momentum (default: per-orbital 40 n^2); "
+                         "the spacing r_max/(points-1) must be at most 1; "
                          "not used by the orthonormality table"),
             Option("points", "--points",
                    _int_in_range("--points", 5, HYDROGEN_MAX_POINTS), None,
                    "radial grid points for the mean radii and momentum "
-                   "(default 4096); not used by the orthonormality table"),
+                   "(default 4096); the spacing r_max/(points-1) must be "
+                   "at most 1; not used by the orthonormality table"),
         ),
         run_hydrogen,
     ),
@@ -569,7 +543,7 @@ COMMANDS: dict[str, CommandSpec] = {
             MODEL,
             P2_RULE,
             SAMPLES,
-            Option("mode", "--mode", _choice("--mode", SWITCH_MODES),
+            Option("mode", "--mode", _choice("--mode", spinlab.SWITCH_MODES),
                    "predicted",
                    "predicted: definite-spins bookkeeping; mechanistic: "
                    "collapse-ordered simulation"),

@@ -29,6 +29,7 @@ built only when momentum_representation asks for it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,6 +249,12 @@ class EprConfig:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        # The state divides by sigma^2 (and by Lambda^2 >= sigma^2, as the
+        # extent bound below gives), so sigma^2 must be a normal float.
+        if self.sigma**2 < sys.float_info.min:
+            raise ValueError(
+                f"sigma = {self.sigma:g} is too small: its square underflows"
+            )
         if self.grid.points < 64:
             raise ValueError("pair grid needs at least 64 points per axis")
         required = 10.0 * self.sigma + 2.0 * abs(self.x0)

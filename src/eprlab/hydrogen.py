@@ -48,6 +48,10 @@ __all__ = [
 # Bohr radii per n^2 for the quadrature tails to be negligible.
 MIN_R_MAX_PER_N2 = 20.0
 
+# Widest radial spacing, in Bohr radii: the ground state's decay length
+# a_B, which a coarser grid cannot resolve.
+MAX_RADIAL_SPACING = 1.0
+
 DEFAULT_RADIAL_POINTS = 4096
 
 # Widest spacing of the commutator check: its Gaussian exp(-x^2 / 2)
@@ -142,6 +146,13 @@ def _check_containment(n: int, grid: RadialGrid) -> None:
         raise ValueError(
             f"grid too small: r_max = {grid.r_max:g} is below the containment "
             f"bound {bound:g} for n = {n}"
+        )
+    # Written so that a NaN spacing fails too.
+    if not grid.spacing <= MAX_RADIAL_SPACING * BOHR_RADIUS:
+        raise ValueError(
+            f"radial grid spacing {grid.spacing:g} is above "
+            f"{MAX_RADIAL_SPACING * BOHR_RADIUS:g}: the grid does not resolve "
+            "the orbitals; use more points or a smaller r_max"
         )
 
 

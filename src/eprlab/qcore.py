@@ -36,7 +36,6 @@ __all__ = [
     "measure_observable",
     "evolve",
     "tensor_product",
-    "overlap",
     "states_equal_up_to_phase",
     "identity",
     "sigma_x",
@@ -336,11 +335,6 @@ def tensor_product(s_i: StateVector, s_ii: StateVector) -> BipartiteState:
         s_i.basis_labels,
         s_ii.basis_labels,
     )
-
-
-def overlap(s1: StateVector, s2: StateVector) -> complex:
-    """<s1|s2>."""
-    return s1.inner(s2)
 
 
 def states_equal_up_to_phase(

@@ -4,7 +4,7 @@ All randomness in the package flows through numpy ``Generator`` objects
 backed by PCG64. A (seed, stream index) pair maps to one reproducible
 stream; distinct indices under the same seed give statistically
 independent streams (numpy ``SeedSequence`` spawn keys), so every
-sampling block is addressable by its index alone.
+tally's stream is addressable by its index alone.
 """
 
 from __future__ import annotations

@@ -17,18 +17,19 @@ projected onto the particle's definite axis, ties broken toward +1. A
 probabilistic completion (projection probabilities, cos^2(theta/2)) is
 available as the labeled "probabilistic" rule; the two are never mixed.
 
-Every tally is drawn one way: block i of DEFAULT_BLOCK_SIZE pairs is one
-multinomial (binomial for the switch protocol) from the setting's exact
-joint law, drawn from the stream of (seed, offset + i), so a fixed seed
-reproduces every count. sample_pair and untangle are the per-pair
-reference routes the tallies are checked against. An analyzer setting
-builds its spin operator once and singlet() is one shared state, so
-repeated per-pair calls reuse one decomposition and one expansion.
+Every tally is drawn one way: all n pairs are one multinomial (binomial
+for the switch protocol) from the setting's exact joint law, drawn from
+one stream of the seed, so a fixed seed reproduces every count. A sum of
+independent multinomials with one law is a multinomial with that law,
+so no split of n would sample anything a single draw does not.
+sample_pair and untangle are the per-pair reference routes the tallies
+are checked against. An analyzer setting builds its spin operator once
+and singlet() is one shared state, so repeated per-pair calls reuse one
+decomposition and one expansion.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Union
@@ -68,9 +69,9 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
 ]
 
-# Pairs per sampling block, each block drawn from its own derived
-# stream. Changing it changes which stream generates which pair, and so
-# every document's counts; it is a constant, not a tunable.
+# Uniforms per chunk of untangle_counts, which reads n uniforms in
+# chunks of this size so its memory stays bounded; the chunking does not
+# change which uniforms are read.
 DEFAULT_BLOCK_SIZE = 65536
 
 SWITCH_MODES = ("predicted", "mechanistic")
@@ -197,7 +198,6 @@ class SwitchReport:
     n_pairs: int
     n_electron_up: int
     n_positron_down: int
-    mode: str
     note: str = ""
 
     @property
@@ -293,24 +293,10 @@ def joint_law(
     return law
 
 
-def _block_sizes(n: int):
-    """Sizes of the fixed blocks covering n, lazily; every sampler's
-    check of n."""
+def _check_samples(n: int) -> None:
+    """Every sampler's check of n."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    full, rest = divmod(n, DEFAULT_BLOCK_SIZE)
-    return itertools.chain(
-        itertools.repeat(DEFAULT_BLOCK_SIZE, full), [rest] if rest else []
-    )
-
-
-def _per_block(draw, n: int, seed: int, stream_offset: int):
-    """draw(size, rng) for each fixed block of n, in order and lazily;
-    block i draws from the stream derived from (seed, stream_offset + i)."""
-    return (
-        draw(size, make_stream(seed, stream_offset + i))
-        for i, size in enumerate(_block_sizes(n))
-    )
 
 
 def pair_counts_blocked(
@@ -326,15 +312,12 @@ def pair_counts_blocked(
     """Tally n pairs, the electron measured along a and the positron
     along b.
 
-    The joint law is worked out once; block i then draws its tallies as
-    one multinomial from the stream derived from (seed, stream_offset +
-    i), and blocks aggregate by exact integer sums.
+    The joint law is worked out once, and the four tallies are one
+    multinomial draw of n from the stream of (seed, stream_offset).
     """
+    _check_samples(n)
     law = joint_law(model, a, b)
-    blocks = _per_block(
-        lambda size, rng: rng.multinomial(size, law), n, seed, stream_offset
-    )
-    return PairCounts(*map(int, sum(blocks)))
+    return PairCounts(*map(int, make_stream(seed, stream_offset).multinomial(n, law)))
 
 
 def chsh_blocked(
@@ -346,12 +329,10 @@ def chsh_blocked(
     n: int,
     seed: int,
 ) -> tuple[PairCounts, PairCounts, PairCounts, PairCounts]:
-    """Blocked tallies of the CHSH correlations (a,b), (a,b2), (a2,b),
-    (a2,b2), n pairs each; correlation j uses the stream indices from
-    j * ceil(n / DEFAULT_BLOCK_SIZE), disjoint ranges of one seed."""
-    blocks_per = -(-n // DEFAULT_BLOCK_SIZE)
+    """Tallies of the CHSH correlations (a,b), (a,b2), (a2,b), (a2,b2),
+    n pairs each; correlation j draws from stream j of the seed."""
     return tuple(
-        pair_counts_blocked(model, sa, sb, n, seed, stream_offset=j * blocks_per)
+        pair_counts_blocked(model, sa, sb, n, seed, stream_offset=j)
         for j, (sa, sb) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2)))
     )
 
@@ -392,21 +373,21 @@ def switch_protocol_blocked(
     positron to spin-down before detection. predicted mode reproduces
     the protocol's claimed outcome tables; mechanistic mode simulates
     measure-then-flip collapse. For the entangled source the two
-    disagree on the electron, and the report's note says so. Each
-    block's electron-up count is one binomial draw from its own stream.
+    disagree on the electron, and the report's note says so. The
+    electron-up count is one binomial draw of n from stream 0 of the
+    seed.
     """
     if mode not in SWITCH_MODES:
         raise ValueError(f"mode must be one of {SWITCH_MODES}, got {mode!r}")
+    _check_samples(n)
     p = _switch_electron_up(model, mode)
-    blocks = _per_block(lambda size, rng: int(rng.binomial(size, p)), n, seed, 0)
     note = ""
     if mode == "mechanistic" and isinstance(model, QuantumEntangled):
         note = MECHANISTIC_DIVERGENCE_NOTE
     return SwitchReport(
         n_pairs=n,
-        n_electron_up=sum(blocks),
+        n_electron_up=int(make_stream(seed, 0).binomial(n, p)),
         n_positron_down=n,
-        mode=mode,
         note=note,
     )
 
@@ -447,10 +428,13 @@ def untangle_counts(
     """Up-down and down-up tallies of n untangle draws on psi.
 
     Reads the same uniforms, in the same order, as n calls of
-    untangle(psi, rng), in fixed chunks so memory stays bounded.
+    untangle(psi, rng), in chunks of DEFAULT_BLOCK_SIZE so memory stays
+    bounded.
     """
+    _check_samples(n)
     untangle_branches(psi)
     up_down = sum(
-        int(np.count_nonzero(rng.random(size) < 0.5)) for size in _block_sizes(n)
+        int(np.count_nonzero(rng.random(min(DEFAULT_BLOCK_SIZE, n - start)) < 0.5))
+        for start in range(0, n, DEFAULT_BLOCK_SIZE)
     )
     return up_down, n - up_down

@@ -272,6 +272,51 @@ def test_commutator_check_accepts_the_widest_spacing():
     assert doc["results"]["spacing"] == 0.5
 
 
+def run_warning_free_child(argv):
+    """python -m eprlab argv in a child with RuntimeWarnings as errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eprlab", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize("r_max", ["1e155", "1e6"])
+def test_hydrogen_rejects_an_unresolvable_radial_spacing(r_max):
+    # At the default 4096 points, r_max 1e6 is a spacing of 244 Bohr
+    # radii (every relative error 1.0) and 1e155 overflows r^2.
+    result = run_warning_free_child(
+        ["hydrogen", "--r-max", r_max, "--max-n", "1", "--ortho-max-n", "1"]
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "spacing" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_hydrogen_accepts_the_widest_radial_spacing():
+    argv = ["hydrogen", "--r-max", "4095", "--points", "4096", "--max-n", "1",
+            "--ortho-max-n", "1"]
+    result = run_warning_free_child(argv)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["config"]["r_max"] / (doc["config"]["points"] - 1) == 1.0
+
+
+def test_epr_rejects_a_sigma_whose_square_underflows():
+    # sigma^2 = 1e-602 is 0.0 in floating point, and the state's
+    # exponent would be 0/0.
+    result = run_warning_free_child(
+        ["epr", "--length", "1e-300", "--sigma", "1e-301", "--x0", "0",
+         "--points", "64"]
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "underflows" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "command, cap, grid",
     [

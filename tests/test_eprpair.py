@@ -62,6 +62,8 @@ def test_config_validates_geometry():
         EprConfig(sigma=0.05, grid=UniformGrid2D(20.0, 128))
     with pytest.raises(ValueError, match="64"):
         EprConfig(grid=UniformGrid2D(20.0, 32))
+    with pytest.raises(ValueError, match="underflows"):
+        EprConfig(x0=0.0, sigma=1e-160, grid=UniformGrid2D(1e-159, 64))
 
 
 def test_grid_function_validates_norm():

@@ -165,6 +165,16 @@ def test_expect_r_rejects_small_grid():
         expect_r(2, 0, RadialGrid(30.0, 4096))
 
 
+@pytest.mark.parametrize("r_max", [4096.0, float("nan")])
+def test_radial_quadrature_rejects_a_spacing_above_one_bohr_radius(r_max):
+    # 4096 / 4095 is just above the bound; a NaN spacing fails too.
+    grid = RadialGrid(r_max, 4096)
+    with pytest.raises(ValueError, match="spacing"):
+        expect_r(1, 0, grid)
+    with pytest.raises(ValueError, match="spacing"):
+        expect_radial_p_ground(grid)
+
+
 def test_expect_r_doubling_reduces_error_at_fourth_order():
     errors = []
     for pts in (513, 1025, 2049):

@@ -7,8 +7,6 @@ sign(c az) sign(-c bz), so its correlation is the two-configuration
 average; the probabilistic rule gives E = -az bz.
 """
 
-from collections.abc import Iterator
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from eprlab.qcore import (
     expectation,
     states_equal_up_to_phase,
 )
+from eprlab import spinlab
+from eprlab.cli import MAX_SAMPLES
 from eprlab.rng import make_stream
 from eprlab.spinlab import (
     DEFAULT_BLOCK_SIZE,
@@ -27,7 +27,6 @@ from eprlab.spinlab import (
     PairOutcome,
     PreassignedDefinite,
     QuantumEntangled,
-    _block_sizes,
     _switch_electron_up,
     chsh_blocked,
     joint_law,
@@ -281,15 +280,17 @@ def test_chsh_degenerate_settings():
     assert abs(s - expected) <= 4.0 * 4.0 / np.sqrt(n)
 
 
-def test_chsh_blocked_uses_disjoint_stream_ranges():
+# Larger than DEFAULT_BLOCK_SIZE and not a multiple of it.
+N_UNEVEN = 3 * DEFAULT_BLOCK_SIZE + 5
+
+
+def test_chsh_correlation_j_draws_from_stream_j():
     a, a2, b, b2 = CHSH_OPTIMAL
-    n = 70_000  # two blocks per correlation
-    counts = chsh_blocked(QuantumEntangled(), a, a2, b, b2, n, seed=5)
+    counts = chsh_blocked(QuantumEntangled(), a, a2, b, b2, N_UNEVEN, seed=5)
     for j, (sa, sb) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2))):
-        expected = pair_counts_blocked(
-            QuantumEntangled(), sa, sb, n, seed=5, stream_offset=2 * j
-        )
-        assert counts[j] == expected
+        law = joint_law(QuantumEntangled(), sa, sb)
+        expected = make_stream(5, j).multinomial(N_UNEVEN, law)
+        assert counts[j] == PairCounts(*map(int, expected))
 
 
 def test_blocked_counts_independent_of_workers():
@@ -302,16 +303,33 @@ def test_blocked_counts_independent_of_workers():
     assert serial.n_pairs == n
 
 
-def test_blocked_counts_match_manual_streams():
-    model = PreassignedDefinite()
+def test_pair_counts_are_one_multinomial_from_one_stream():
     b = AnalyzerSetting.from_degrees(70.0, 10.0)
-    sizes = (DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE, 10_000)
-    blocked = pair_counts_blocked(model, Z, b, sum(sizes), seed=3)
-    law = joint_law(model, Z, b)
-    manual = sum(
-        make_stream(3, i).multinomial(size, law) for i, size in enumerate(sizes)
-    )
-    assert blocked == PairCounts(*map(int, manual))
+    for model in (QuantumEntangled(), PreassignedDefinite("probabilistic")):
+        counts = pair_counts_blocked(model, Z, b, N_UNEVEN, seed=3, stream_offset=2)
+        manual = make_stream(3, 2).multinomial(N_UNEVEN, joint_law(model, Z, b))
+        assert counts == PairCounts(*map(int, manual))
+
+
+@pytest.mark.parametrize("mode", ["predicted", "mechanistic"])
+def test_switch_count_is_one_binomial_from_stream_0(mode):
+    for model in (QuantumEntangled(), PreassignedDefinite()):
+        report = switch_protocol_blocked(model, N_UNEVEN, mode, seed=8)
+        p = _switch_electron_up(model, mode)
+        assert report.n_electron_up == int(make_stream(8, 0).binomial(N_UNEVEN, p))
+
+
+@pytest.mark.parametrize("n", [N_UNEVEN, MAX_SAMPLES])
+def test_each_tally_makes_one_stream(n, count_calls):
+    # One (seed, stream index) per tally: the pair tally, the four CHSH
+    # correlations, then the switch count.
+    streams = count_calls(spinlab, "make_stream")
+    b = AnalyzerSetting.from_degrees(45.0, 0.0)
+    assert pair_counts_blocked(QuantumEntangled(), Z, b, n, seed=9).n_pairs == n
+    chsh = chsh_blocked(PreassignedDefinite(), *CHSH_OPTIMAL, n, seed=9)
+    assert all(counts.n_pairs == n for counts in chsh)
+    switch_protocol_blocked(QuantumEntangled(), n, "mechanistic", seed=9)
+    assert streams == [(9, 0), (9, 0), (9, 1), (9, 2), (9, 3), (9, 0)]
 
 
 def test_same_seed_reproduces_sequences():
@@ -431,15 +449,6 @@ def test_sample_pair_reuses_operators_and_expansion(count_calls):
     for _ in range(300):
         sample_pair(QuantumEntangled(), a, b, rng)
     assert len(eigh_calls) <= 2
-
-
-def test_block_sizes_cover_n_lazily():
-    for n in (1, DEFAULT_BLOCK_SIZE, DEFAULT_BLOCK_SIZE + 1, 3 * DEFAULT_BLOCK_SIZE + 5):
-        sizes = _block_sizes(n)
-        assert isinstance(sizes, Iterator)
-        sizes = list(sizes)
-        assert sum(sizes) == n
-        assert all(size == DEFAULT_BLOCK_SIZE for size in sizes[:-1])
 
 
 @pytest.mark.parametrize("n", [0, -5])
