@@ -130,8 +130,9 @@ MAX_SAMPLES = 2**36
 SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
                  100_000, "number of pairs to sample")
 
-# epr holds one real points^2 state and its points x (points//2 + 1)
-# complex half spectrum (a peak of about 100 MB at its cap).
+# epr holds one real points^2 state, its points x (points//2 + 1)
+# complex half spectrum and one real half-grid temporary (a peak of
+# about 84 MB at its cap).
 # commutator-check holds a few arrays of 2 points samples (about 240 MB
 # in all at its cap); hydrogen holds a few radial arrays of 8 MB each at
 # its cap.

@@ -20,10 +20,11 @@ Real state, half spectrum: the pair is a product f(x_I - x_II) g(x_I + x_II)
 of two real Gaussians, and on the uniform grid each factor takes only
 2 points - 1 values, so the state is built from those values and kept
 real (float64). The transform of a real function obeys
-G(-p) = conj(G(p)), so only np.fft.rfft2's half spectrum, points x
-(points//2 + 1), is computed and kept; a momentum row is restored from
-it when it is read. The real position samples are the one points x
-points array an epr document holds; the full complex momentum grid is
+G(-p) = conj(G(p)), so only its half spectrum, points x (points//2 + 1),
+is computed (a real rfft along each row, then an fft down each column
+in place) and kept; a momentum row is restored from it when it is read.
+The real position samples are the one points x points array an epr
+document holds; the full complex momentum grid is
 built only when momentum_representation asks for it.
 """
 
@@ -53,7 +54,9 @@ NORM_ATOL = 1e-10
 
 def _l2_norm(values: np.ndarray, grid: UniformGrid2D) -> float:
     """Discrete L2 norm; each point weighs the cell area h^2."""
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.spacing**2))
+    density = np.abs(values)
+    density *= density
+    return float(np.sqrt(np.sum(density) * grid.spacing**2))
 
 
 def _sample_dtype(values) -> type:
@@ -75,7 +78,7 @@ class GridFunction:
     observable fact instead of a silent correction.
 
     The values are read-only and belong to the instance. The norm, the
-    rfft2 half spectrum of real samples and the momentum-side norm are
+    half spectrum of real samples and the momentum-side norm are
     computed on first use and kept; momentum rows, and the full momentum
     representation, are restored from the half spectrum. Only real
     samples have a momentum transform here: for complex ones it raises
@@ -121,18 +124,25 @@ class GridFunction:
 
     @classmethod
     def normalized(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
-        """values divided by their norm: one norm pass, one division.
+        """A copy of values divided by their norm."""
+        values = np.array(values, dtype=_sample_dtype(values))
+        return cls._normalize_owned(values, grid)
+
+    @classmethod
+    def _normalize_owned(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
+        """values, a float or complex array no caller holds, divided by
+        their norm in place: one norm pass, one division.
 
         The quotient has unit norm by construction, so it is adopted
         without a second norm pass or a copy.
         """
-        values = np.asarray(values, dtype=_sample_dtype(values))
         norm = _l2_norm(values, grid)
         if norm == 0.0:
             raise ValueError("cannot normalize an identically zero grid function")
         if not np.isfinite(norm):
             raise ValueError(f"cannot normalize a grid function of norm {norm!r}")
-        return cls._adopt(values / norm, grid)
+        values /= norm
+        return cls._adopt(values, grid)
 
     @cached_property
     def norm(self) -> float:
@@ -147,14 +157,16 @@ class GridFunction:
 
     @cached_property
     def _half_spectrum(self) -> np.ndarray:
-        """np.fft.rfft2 of the samples times h^2 / 2 pi, computed once:
-        columns k2 = 0 .. points//2 of the scaled transform in FFT order,
-        before the phase and the shift."""
+        """The samples' 2D transform times h^2 / 2 pi, computed once:
+        columns k2 = 0 .. points//2 in FFT order, before the phase and the
+        shift. A row rfft, then a column fft written over its own input:
+        the two 1D transforms of np.fft.rfft2, in one buffer."""
         if np.iscomplexobj(self.values):
             raise ValueError(
                 "the momentum transform needs real position samples, got complex"
             )
-        half = np.fft.rfft2(self.values)
+        half = np.fft.rfft(self.values, axis=1)
+        np.fft.fft(half, axis=0, out=half)
         half *= self.grid.spacing**2 / (2.0 * np.pi)
         half.setflags(write=False)
         return half
@@ -169,7 +181,8 @@ class GridFunction:
         column are their own mirrors and weigh 1.
         """
         n = self.grid.points
-        density = np.abs(self._half_spectrum) ** 2
+        density = np.abs(self._half_spectrum)
+        density *= density
         density[:, 1 : (n + 1) // 2] *= 2.0
         return float(np.sqrt(np.sum(density) * self._momentum_grid.spacing**2))
 
@@ -303,7 +316,7 @@ def build_epr_state(cfg: EprConfig) -> GridFunction:
     # windows(v, n)[i, j] = v[i + j]; with its columns reversed it reads
     # v[i - j + n - 1].
     raw = windows(relative, n)[:, ::-1] * windows(center, n)
-    return GridFunction.normalized(raw, cfg.grid)
+    return GridFunction._normalize_owned(raw, cfg.grid)
 
 
 def momentum_representation(psi: GridFunction) -> GridFunction:
@@ -313,7 +326,7 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     centered convention as the position grid; discrete Parseval holds
     exactly, so the result passes the unit-norm validation untouched.
     psi must be real. The full complex grid is expanded from psi's kept
-    rfft2 half spectrum on the first call and kept on psi: every caller
+    half spectrum on the first call and kept on psi: every caller
     reads the same read-only samples. No epr document needs it;
     condition_on_momentum and GridFunction.momentum_norm read the half
     spectrum directly.

@@ -266,19 +266,74 @@ def test_distribution_moments():
         Distribution1D(coords, np.array([0.5, 0.5, -0.1]))
 
 
-def test_epr_document_runs_one_fft(count_calls):
-    rfft_calls = count_calls(np.fft, "rfft2")
-    fft_calls = count_calls(np.fft, "fft2")
+@pytest.fixture
+def fft_route(monkeypatch):
+    """Records each np.fft.rfft, fft, rfft2 and fft2 call for this test,
+    in order: (name, positional arguments, keyword arguments)."""
+    calls = []
+    for name in ("rfft", "fft", "rfft2", "fft2"):
+
+        def recording(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return calls
+
+
+def assert_one_row_then_column_transform(calls):
+    """One rfft along the rows, then one fft down the columns written
+    over the rfft's output; no 2D transform."""
+    assert [name for name, _args, _kwargs in calls] == ["rfft", "fft"]
+    (_, _, rfft_kwargs), (_, (half,), fft_kwargs) = calls
+    assert rfft_kwargs == {"axis": 1}
+    assert fft_kwargs["axis"] == 0
+    assert fft_kwargs["out"] is half
+
+
+def test_epr_document_runs_one_fft(fft_route):
     settings = cli.resolve_settings(cli.build_parser().parse_args(["epr"]))
     cli.run_epr(settings)
-    assert len(rfft_calls) == 1
-    assert len(fft_calls) == 0
+    assert_one_row_then_column_transform(fft_route)
 
 
-def test_epr_document_peak_memory_stays_below_two_complex_grids():
-    # The real state and its half spectrum, about 1.5 n^2 complex
-    # samples at the peak; a full complex state or momentum grid
-    # would add one n^2 * 16 B each.
+@pytest.mark.parametrize("points", [64, 100, 513, 1024])
+def test_half_spectrum_is_bitwise_rfft2(points):
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
+    h = psi.grid.spacing
+    expected = np.fft.rfft2(psi.values) * (h**2 / (2.0 * np.pi))
+    assert np.array_equal(psi._half_spectrum.view(float), expected.view(float))
+
+
+@pytest.mark.parametrize("points", [64, 100, 513, 1024])
+def test_state_is_bitwise_out_of_place_normalization(points):
+    cfg = EprConfig(grid=UniformGrid2D(10.0, points))
+    n, h = points, cfg.grid.spacing
+    steps = np.arange(2 * n - 1)
+    relative = np.exp(-(((steps - (n - 1)) * h + cfg.x0) ** 2) / (4.0 * cfg.sigma**2))
+    center = np.exp(
+        -(((steps - 2 * (n // 2)) * h / 2.0) ** 2) / (4.0 * cfg.envelope_width**2)
+    )
+    windows = np.lib.stride_tricks.sliding_window_view
+    raw = windows(relative, n)[:, ::-1] * windows(center, n)
+    expected = raw / eprpair._l2_norm(raw, cfg.grid)
+    assert np.array_equal(build_epr_state(cfg).values.view(float), expected.view(float))
+
+
+@pytest.mark.parametrize("points", [64, 100, 513, 1024])
+def test_momentum_norm_is_bitwise_squared_magnitude_formula(points):
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
+    density = np.abs(psi._half_spectrum) ** 2
+    density[:, 1 : (points + 1) // 2] *= 2.0
+    expected = float(np.sqrt(np.sum(density) * psi._momentum_grid.spacing**2))
+    assert psi.momentum_norm == expected
+
+
+def test_epr_document_peak_memory_stays_below_1_375_complex_grids():
+    # The real state, its half spectrum and one real half-grid of
+    # squared magnitudes: about 1.25 n^2 complex samples at the peak. A
+    # second half-spectrum buffer or a temporary beside the state would
+    # add a quarter or a half of n^2 * 16 B.
     n = 512
     settings = cli.resolve_settings(
         cli.build_parser().parse_args(["epr", "--points", str(n)])
@@ -289,20 +344,17 @@ def test_epr_document_peak_memory_stays_below_two_complex_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * n * 16
+    assert peak <= 1.375 * n * n * 16
 
 
-def test_momentum_representation_is_computed_once_and_read_only(count_calls):
+def test_momentum_representation_is_computed_once_and_read_only(fft_route):
     psi = build_epr_state(EprConfig(grid=UniformGrid2D(20.0, 128)))
-    rfft_calls = count_calls(np.fft, "rfft2")
-    fft_calls = count_calls(np.fft, "fft2")
     first = momentum_representation(psi)
     kept = first.values.copy()
     second = momentum_representation(psi)
     condition_on_momentum(psi, 1.0)
     assert psi.momentum_norm == pytest.approx(1.0, abs=1e-12)
-    assert len(rfft_calls) == 1
-    assert len(fft_calls) == 0
+    assert_one_row_then_column_transform(fft_route)
     assert second is first
     assert not second.values.flags.writeable
     with pytest.raises(ValueError):
@@ -315,9 +367,11 @@ def test_momentum_representation_is_computed_once_and_read_only(count_calls):
 
 def test_normalized_takes_one_norm_pass(count_calls):
     raw = np.linspace(1.0, 2.0, 256).reshape(16, 16)
+    kept = raw.copy()
     norm_calls = count_calls(eprpair, "_l2_norm")
     f = GridFunction.normalized(raw, SMALL)
     assert len(norm_calls) == 1
+    assert np.array_equal(raw, kept)
     assert not f.values.flags.writeable
     assert f.norm == pytest.approx(1.0, abs=1e-12)
     raw[:] = 0.0
