@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from eprlab import eprpair, grids, hydrogen, spinlab
@@ -563,7 +564,9 @@ COMMANDS: dict[str, CommandSpec] = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: options store strings with default None."""
     parser = argparse.ArgumentParser(
         prog="eprlab",
         description="Seeded, reproducible experiments on operator algebra, "
@@ -589,7 +592,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     for number, raw in enumerate(lines, 1):
         line = raw.strip()

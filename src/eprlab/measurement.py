@@ -9,8 +9,8 @@ tension these tools are built to exhibit.
 
 Expansions and collapses are memoized on the immutable objects they
 come from: a joint state keeps its expansion in the last observable it
-was expanded in, and an expansion keeps the measurement each outcome
-leads to. A per-shot measurement then costs one Born draw.
+was expanded in, and an expansion keeps its outcome CDF and each
+outcome's measurement, so a per-shot measurement costs one uniform.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .qcore import (
     BipartiteState,
     LinearOperator,
     StateVector,
+    born_cdf,
+    born_draw,
     eigengroups,
     is_eigenstate,
 )
@@ -89,6 +91,10 @@ class ExpansionResult:
         probs = self.group_probabilities / self.group_probabilities.sum()
         probs.setflags(write=False)
         return probs
+
+    @cached_property
+    def _outcome_cdf(self) -> np.ndarray:
+        return born_cdf(self.outcome_probabilities)
 
     @cached_property
     def _measurements(self) -> list[SubsystemMeasurement | None]:
@@ -219,13 +225,12 @@ def measure_subsystem(
 
     Samples an outcome eigenspace with its expansion probability,
     projects the joint state onto it (renormalized), and extracts the
-    remote system-II state the collapse leaves behind. Both expansion
-    and per-outcome collapse are memoized, so repeated shots on the same
-    (psi, a) cost one draw each.
+    remote system-II state the collapse leaves behind. The expansion, its
+    outcome CDF and each collapse are memoized, so repeated shots on the
+    same (psi, a) cost one uniform each, drawn as Generator.choice would.
     """
     expansion = expand_bipartite(psi, a)
-    k = int(rng.choice(expansion.n_outcomes, p=expansion.outcome_probabilities))
-    return expansion.measurement(k)
+    return expansion.measurement(born_draw(expansion._outcome_cdf, rng))
 
 
 def remote_state_pair(

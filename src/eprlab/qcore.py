@@ -8,7 +8,8 @@ through explicitly passed generators.
 
 Objects also hold lazily filled, read-only caches of work derived from
 them: a Hermitian operator's eigendecomposition is computed on first
-use and reused, and the Pauli operators are shared instances. Two
+use and reused, a state keeps the Born law and outcome records of its
+last measurement, and the Pauli operators are shared instances. Two
 threads racing to fill a cache at worst compute the same value twice.
 """
 
@@ -290,6 +291,19 @@ def eigengroups(op: LinearOperator) -> list[EigenGroup]:
     return list(op._eigengroups)
 
 
+def born_cdf(probs: np.ndarray) -> np.ndarray:
+    """Read-only CDF of normalized probabilities, as Generator.choice builds it."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf
+
+
+def born_draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One outcome from one uniform, as Generator.choice(n, p=probs) draws it."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def measure_observable(
     op: LinearOperator, s: StateVector, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -298,19 +312,26 @@ def measure_observable(
     The outcome eigenvalue is sampled with probability equal to the
     squared norm of the state's projection onto the corresponding
     eigenspace; the post-measurement state is that projection,
-    renormalized.
+    renormalized. The state keeps the Born law and the shared, immutable
+    outcome records of its last observable, so a repeat costs one draw.
     """
     if not op.hermitian:
         raise ValueError("measurement requires a Hermitian observable")
     _require_same_dim(op, s)
-    groups = op._eigengroups
-    coords = [g.basis.conj().T @ s.amplitudes for g in groups]
-    probs = np.array([float(np.sum(np.abs(c) ** 2)) for c in coords])
-    probs = probs / probs.sum()
-    k = int(rng.choice(len(groups), p=probs))
-    projected = groups[k].basis @ coords[k]
-    post = StateVector(projected, s.basis_labels)
-    return MeasurementRecord(groups[k].value, float(probs[k]), post)
+    last = vars(s).get("_last_measurement")
+    if last is None or last[0] is not op:
+        coords = [g.basis.conj().T @ s.amplitudes for g in op._eigengroups]
+        probs = np.array([float(np.sum(np.abs(c) ** 2)) for c in coords])
+        probs = probs / probs.sum()
+        last = (op, coords, probs, born_cdf(probs), [None] * len(coords))
+        vars(s)["_last_measurement"] = last
+    _, coords, probs, cdf, records = last
+    k = born_draw(cdf, rng)
+    if records[k] is None:
+        group = op._eigengroups[k]
+        post = StateVector(group.basis @ coords[k], s.basis_labels)
+        records[k] = MeasurementRecord(group.value, float(probs[k]), post)
+    return records[k]
 
 
 def evolve(h: LinearOperator, t: float, s: StateVector) -> StateVector:

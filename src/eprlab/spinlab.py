@@ -23,9 +23,9 @@ one stream of the seed, so a fixed seed reproduces every count. A sum of
 independent multinomials with one law is a multinomial with that law,
 so no split of n would sample anything a single draw does not.
 sample_pair and untangle are the per-pair reference routes the tallies
-are checked against. An analyzer setting builds its spin operator once
-and singlet() is one shared state, so repeated per-pair calls reuse one
-decomposition and one expansion.
+are checked against. An analyzer setting builds its spin operator once,
+singlet() is one shared state, and its remote states keep their last
+measurement, so an entangled sample_pair call is two memoized Born draws.
 """
 
 from __future__ import annotations

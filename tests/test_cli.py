@@ -467,3 +467,29 @@ def test_hydrogen_grid_flags_do_not_reach_the_orthonormality_table():
     assert len(grid_options) == 2
     for option in grid_options:
         assert "not used by the orthonormality table" in option.help
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    first = [run_cli([command]) for command in COMMANDS]
+    with pytest.raises(SystemExit) as rejected:
+        main(["chsh", "--no-such-flag", "1"])
+    assert rejected.value.code == 2
+    assert run_cli(["untangle", "--samples", "0"])[0] == 2
+    with pytest.raises(SystemExit) as helped:
+        main(["chsh", "--help"])
+    assert helped.value.code == 0
+    capsys.readouterr()
+    second = [run_cli([command]) for command in COMMANDS]
+    assert all(code == 0 for code, _ in first)
+    assert second == first
+
+
+def test_non_utf8_config_file_exits_2(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe=1\n")
+    result = run_warning_free_child(["chsh", "--config", str(config)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "cannot read config file" in result.stderr
+    assert "Traceback" not in result.stderr

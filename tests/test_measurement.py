@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import eprlab.measurement as measurement
 from eprlab.measurement import (
     BipartiteState,
     expand_bipartite,
@@ -317,3 +318,47 @@ def test_degenerate_remote_state_is_the_factor_from_one_svd(count_calls):
     remote = expansion.remote_state(0)
     assert len(svd_calls) == 1
     assert states_equal_up_to_phase(remote, s_ii, tol=1e-12)
+
+
+def subsystem_cases():
+    rng = np.random.default_rng(40)
+    cases = [
+        (random_bipartite(rng, dim, 10 - dim), random_hermitian(rng, dim))
+        for dim in range(2, 9)
+    ]
+    product = tensor_product(
+        StateVector(rng.normal(size=4) + 1j * rng.normal(size=4)),
+        StateVector(rng.normal(size=3)),
+    )
+    cases.append((product, sigma_z().kron(identity(2))))  # degenerate
+    up = StateVector(np.array([1.0, 0.0]))
+    cases.append((tensor_product(up, up), sigma_z()))  # outcome -1 has probability 0
+    return cases
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_measure_subsystem_draws_what_choice_draws(case):
+    psi, a = subsystem_cases()[case]
+    expansion = expand_bipartite(psi, a)
+    measured_rng = np.random.default_rng(41 + case)
+    choice_rng = np.random.default_rng(41 + case)
+    for _ in range(2000):
+        shot = measure_subsystem(psi, a, measured_rng)
+        k = int(choice_rng.choice(expansion.n_outcomes, p=expansion.outcome_probabilities))
+        assert shot is expansion.measurement(k)
+    assert measured_rng.bit_generator.state == choice_rng.bit_generator.state
+
+
+def test_measure_subsystem_builds_its_memo_once(count_calls):
+    rng = np.random.default_rng(42)
+    psi = random_bipartite(rng, 3, 4)
+    a = random_hermitian(rng, 3)
+    cumsum_calls = count_calls(np, "cumsum")
+    remote_states = count_calls(measurement, "StateVector")
+    for _ in range(1000):
+        measure_subsystem(psi, a, rng)
+    expansion = expand_bipartite(psi, a)
+    assert len(cumsum_calls) == 1
+    assert len(remote_states) <= expansion.n_outcomes
+    assert not expansion._outcome_cdf.flags.writeable
+    assert expansion._outcome_cdf[-1] == 1.0

@@ -4,9 +4,14 @@ Oracle values are computed inline with raw numpy, independent of the
 module under test.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import eprlab.qcore as qcore
 from eprlab.constants import HBAR
 from eprlab.qcore import (
     BipartiteState,
@@ -343,3 +348,88 @@ def test_pauli_operators_are_shared_instances():
     for pauli in (sigma_x, sigma_y, sigma_z):
         assert pauli() is pauli()
         assert not pauli().entries.flags.writeable
+
+
+def choice_oracle_probs(op, s):
+    """Born probabilities per eigenspace, as numpy's choice is given them."""
+    coords = [g.basis.conj().T @ s.amplitudes for g in eigengroups(op)]
+    probs = np.array([float(np.sum(np.abs(c) ** 2)) for c in coords])
+    return probs / probs.sum()
+
+
+def measurement_cases():
+    rng = np.random.default_rng(30)
+    cases = [(random_hermitian(rng, dim), random_state(rng, dim)) for dim in range(2, 9)]
+    degenerate = LinearOperator(np.diag([1.0, 1.0, 3.0, 3.0, 5.0]).astype(complex), hermitian=True)
+    cases.append((degenerate, random_state(rng, 5)))
+    cases.append((sigma_z(), UP))  # the outcome -1 has probability 0
+    return cases
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_measure_observable_draws_what_choice_draws(case):
+    op, s = measurement_cases()[case]
+    values = [g.value for g in eigengroups(op)]
+    probs = choice_oracle_probs(op, s)
+    measured_rng = np.random.default_rng(31 + case)
+    choice_rng = np.random.default_rng(31 + case)
+    for _ in range(2000):
+        record = measure_observable(op, s, measured_rng)
+        assert record.eigenvalue == values[int(choice_rng.choice(len(values), p=probs))]
+    assert measured_rng.bit_generator.state == choice_rng.bit_generator.state
+
+
+def test_measure_observable_builds_its_memo_once(count_calls):
+    rng = np.random.default_rng(32)
+    op = random_hermitian(rng, 4)
+    s = random_state(rng, 4)
+    cumsum_calls = count_calls(np, "cumsum")
+    post_states = count_calls(qcore, "StateVector")
+    records = {}
+    for _ in range(1000):
+        record = measure_observable(op, s, rng)
+        assert records.setdefault(record.eigenvalue, record) is record
+    assert len(cumsum_calls) == 1
+    assert len(post_states) == len(records) <= 4
+
+
+def test_state_keeps_one_measurement_per_observable_in_turn():
+    # Oracle: |<up|s>|^2 = 0.36 and |<+|s>|^2 = (0.6 + 0.8)^2 / 2 = 0.98.
+    s = StateVector(np.array([0.6, 0.8]))
+    z_law = {1: 0.36, -1: 0.64}
+    x_law = {1: 0.98, -1: 0.02}
+    rng = np.random.default_rng(33)
+    for op, law in ((sigma_z(), z_law), (sigma_x(), x_law), (sigma_z(), z_law)):
+        for _ in range(200):
+            record = measure_observable(op, s, rng)
+            value = round(record.eigenvalue)
+            assert record.probability == pytest.approx(law[value], abs=1e-12)
+            assert is_eigenstate(op, record.post_state, 1e-12) == pytest.approx(value)
+
+
+def test_state_keeps_a_bounded_measurement_memo():
+    rng = np.random.default_rng(34)
+    s = random_state(rng, 3)
+    held = []
+    for _ in range(1000):
+        op = random_hermitian(rng, 3)
+        record = measure_observable(op, s, rng)
+        held.append((weakref.ref(op), weakref.ref(record)))
+    del op, record
+    gc.collect()
+    alive = [(o, r) for o, r in held if o() is not None or r() is not None]
+    assert len(alive) <= 1
+
+
+def test_measurement_memo_is_read_only_and_checked_first():
+    s = StateVector(np.array([0.6, 0.8j]))
+    record = measure_observable(sigma_x(), s, np.random.default_rng(35))
+    cdf = vars(s)["_last_measurement"][3]
+    assert not cdf.flags.writeable
+    assert not record.post_state.amplitudes.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.probability = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        measure_observable(LinearOperator(sigma_x().entries), s, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dimension"):
+        measure_observable(identity(3), s, np.random.default_rng(0))
