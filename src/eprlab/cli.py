@@ -5,9 +5,15 @@ config (the effective experiment parameters), results (measured
 quantities), and statistics (uncertainty estimates and tolerances).
 The document is serialized as JSON with sorted keys or as a flat
 two-column CSV of dotted keys, so a fixed (seed, config) pair yields
-byte-identical output. Presentation knobs (--format, --output,
---workers, --config) are excluded from the config echo; each tally is
-one draw from one random stream of the seed, so --workers, accepted for
+byte-identical output. Handlers return plain dicts, lists, bools, ints,
+floats, strings and None, which both formats write as they are.
+
+Each flag is named once, in the COMMANDS option table: its settings
+key, and its key in a --config file (UTF-8, with or without a BOM), is
+the flag without its leading dashes, with "-" read as "_" (--p2-rule is
+p2_rule or p2-rule). Presentation knobs (--format, --output, --workers,
+--config) are excluded from the config echo; each tally is one draw
+from one random stream of the seed, so --workers, accepted for
 compatibility, changes nothing.
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or validation
@@ -44,15 +50,19 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class Option:
-    dest: str
     flag: str
-    convert: Callable[[str], object]
+    convert: Callable[[str, str], object]
     default: object
     help: str
 
+    @property
+    def dest(self) -> str:
+        """Settings and config-file key: the flag without its dashes."""
+        return self.flag[2:].replace("-", "_")
 
-def _int_in_range(flag: str, minimum: int, maximum: int | None = None):
-    def convert(text: str) -> int:
+
+def _int_in_range(minimum: int, maximum: int | None = None):
+    def convert(flag: str, text: str) -> int:
         try:
             value = int(str(text).strip())
         except ValueError:
@@ -66,8 +76,8 @@ def _int_in_range(flag: str, minimum: int, maximum: int | None = None):
     return convert
 
 
-def _float_value(flag: str, positive: bool = False):
-    def convert(text: str) -> float:
+def _float_value(positive: bool = False):
+    def convert(flag: str, text: str) -> float:
         try:
             value = float(str(text).strip())
         except ValueError:
@@ -81,8 +91,8 @@ def _float_value(flag: str, positive: bool = False):
     return convert
 
 
-def _choice(flag: str, options: tuple[str, ...]):
-    def convert(text: str) -> str:
+def _choice(options: tuple[str, ...]):
+    def convert(flag: str, text: str) -> str:
         value = str(text).strip()
         if value not in options:
             allowed = ", ".join(options)
@@ -92,34 +102,43 @@ def _choice(flag: str, options: tuple[str, ...]):
     return convert
 
 
-def _float_list(flag: str):
-    number = _float_value(flag)
+def _angle_pairs(count: int):
+    """Analyzer settings in degrees: `count` polar angles (azimuth 0) or
+    `count` interleaved polar,azimuth pairs, as [[polar, azimuth], ...]."""
+    number = _float_value()
 
-    def convert(text) -> list[float]:
+    def convert(flag: str, text: str) -> list[list[float]]:
         parts = [p.strip() for p in str(text).split(",") if p.strip()]
         if not parts:
             raise CliError(f"{flag} expects comma-separated numbers")
-        return [number(p) for p in parts]
+        values = [number(flag, p) for p in parts]
+        if len(values) == count:
+            return [[v, 0.0] for v in values]
+        if len(values) == 2 * count:
+            return [values[i:i + 2] for i in range(0, len(values), 2)]
+        raise CliError(
+            f"{flag} needs {count} polar angles or {2 * count} "
+            f"interleaved polar,azimuth values, got {len(values)}"
+        )
 
     return convert
 
 
-SEED = Option("seed", "--seed", _int_in_range("--seed", 0, 2**64 - 1), 0,
+SEED = Option("--seed", _int_in_range(0, 2**64 - 1), 0,
               "random seed, 64-bit unsigned (default 0)")
-WORKERS = Option("workers", "--workers", _int_in_range("--workers", 1), 1,
+WORKERS = Option("--workers", _int_in_range(1), 1,
                  "accepted for compatibility; changes nothing")
-FORMAT = Option("format", "--format", _choice("--format", FORMAT_CHOICES),
+FORMAT = Option("--format", _choice(FORMAT_CHOICES),
                 "json", "output format: json or csv (default json)")
-OUTPUT = Option("output", "--output", str, None,
+OUTPUT = Option("--output", lambda flag, text: text, None,
                 "output file path (default stdout); relative paths resolve "
                 f"against ${OUTPUT_DIR_ENV} when it is set")
 
 COMMON_OPTIONS = (SEED, WORKERS, FORMAT, OUTPUT)
 
-MODEL = Option("model", "--model", _choice("--model", MODEL_CHOICES), "p1",
+MODEL = Option("--model", _choice(MODEL_CHOICES), "p1",
                "pair source: p1 entangled singlet, p2 preassigned definite")
-P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", spinlab.P2_RULES),
-                 "deterministic",
+P2_RULE = Option("--p2-rule", _choice(spinlab.P2_RULES), "deterministic",
                  "p2 response rule: deterministic sign rule or "
                  "probabilistic projection rule")
 # A pair tally is one draw whatever its size, but untangle reads one
@@ -128,8 +147,8 @@ P2_RULE = Option("p2_rule", "--p2-rule", _choice("--p2-rule", spinlab.P2_RULES),
 # machine.
 MAX_SAMPLES = 2**36
 
-SAMPLES = Option("samples", "--samples", _int_in_range("--samples", 1, MAX_SAMPLES),
-                 100_000, "number of pairs to sample")
+SAMPLES = Option("--samples", _int_in_range(1, MAX_SAMPLES), 100_000,
+                 "number of pairs to sample")
 
 # epr holds one real points^2 state, its points x (points//2 + 1)
 # complex half spectrum and one real half-grid temporary (a peak of
@@ -143,34 +162,11 @@ COMMUTATOR_MAX_POINTS = HYDROGEN_MAX_POINTS
 
 # Presentation and execution knobs, excluded from the config echo so
 # that the same experiment produces the same bytes everywhere.
-_NON_CONFIG = {"format", "output", "workers", "config_path"}
+_NON_CONFIG = {"format", "output", "workers"}
 
 
-def _base_config(settings: dict, **overrides) -> dict:
-    config = {
-        key: value for key, value in settings.items() if key not in _NON_CONFIG
-    }
-    config.update(overrides)
-    return config
-
-
-def _analyzer_settings(values: list[float], count: int):
-    """Interpret --angles: either `count` polar angles (azimuth 0) or
-    `count` polar,azimuth pairs, all in degrees."""
-    if len(values) == count:
-        pairs = [(float(v), 0.0) for v in values]
-    elif len(values) == 2 * count:
-        pairs = [
-            (float(values[i]), float(values[i + 1]))
-            for i in range(0, len(values), 2)
-        ]
-    else:
-        raise CliError(
-            f"--angles needs {count} polar angles or {2 * count} "
-            f"interleaved polar,azimuth values, got {len(values)}"
-        )
-    settings = [spinlab.AnalyzerSetting.from_degrees(t, p) for t, p in pairs]
-    return settings, [[t, p] for t, p in pairs]
+def _base_config(settings: dict) -> dict:
+    return {key: value for key, value in settings.items() if key not in _NON_CONFIG}
 
 
 def _pair_model(settings: dict):
@@ -187,16 +183,10 @@ def run_hydrogen(settings: dict) -> dict:
     statistics: max_relative_error_mean_radius,
     max_orthonormality_deviation."""
 
-    def grid_for(n: int) -> hydrogen.RadialGrid | None:
-        if settings["r_max"] is None and settings["points"] is None:
-            return None
-        r_max = settings["r_max"]
-        if r_max is None:
-            r_max = hydrogen.RadialGrid.for_n(n).r_max
-        points = settings["points"]
-        if points is None:
-            points = hydrogen.RadialGrid.for_n(n).points
-        return hydrogen.RadialGrid(r_max, points)
+    def grid_for(n: int) -> hydrogen.RadialGrid:
+        d = hydrogen.RadialGrid.for_n(n)
+        return hydrogen.RadialGrid(settings["r_max"] or d.r_max,
+                                   settings["points"] or d.points)
 
     rows = []
     worst_radius = 0.0
@@ -320,7 +310,7 @@ def run_singlet_correlation(settings: dict) -> dict:
     """results: correlation, n_pairs, counts {up_up, up_down, down_up,
     down_down}, electron_setting, positron_setting.
     statistics: standard_error."""
-    (a, b), pairs = _analyzer_settings(settings["angles"], 2)
+    a, b = (spinlab.AnalyzerSetting.from_degrees(*p) for p in settings["angles"])
     counts = spinlab.pair_counts_blocked(
         _pair_model(settings),
         a,
@@ -331,7 +321,7 @@ def run_singlet_correlation(settings: dict) -> dict:
     value = counts.correlation
     n = counts.n_pairs
     return {
-        "config": _base_config(settings, angles=pairs),
+        "config": _base_config(settings),
         "results": {
             "correlation": value,
             "n_pairs": n,
@@ -341,8 +331,8 @@ def run_singlet_correlation(settings: dict) -> dict:
                 "down_up": counts.down_up,
                 "down_down": counts.down_down,
             },
-            "electron_setting": pairs[0],
-            "positron_setting": pairs[1],
+            "electron_setting": settings["angles"][0],
+            "positron_setting": settings["angles"][1],
         },
         "statistics": {
             "standard_error": (max(0.0, 1.0 - value * value) / n) ** 0.5,
@@ -354,7 +344,8 @@ def run_chsh(settings: dict) -> dict:
     """results: s, correlations rows {electron_setting,
     positron_setting, sign, value, n_pairs}. statistics:
     standard_error, classical_bound, tsirelson_bound."""
-    (a, a2, b, b2), pairs = _analyzer_settings(settings["angles"], 4)
+    pairs = settings["angles"]
+    a, a2, b, b2 = (spinlab.AnalyzerSetting.from_degrees(*p) for p in pairs)
     all_counts = spinlab.chsh_blocked(
         _pair_model(settings), a, a2, b, b2, settings["samples"], settings["seed"]
     )
@@ -381,7 +372,7 @@ def run_chsh(settings: dict) -> dict:
             }
         )
     return {
-        "config": _base_config(settings, angles=pairs),
+        "config": _base_config(settings),
         "results": {"s": s, "correlations": rows},
         "statistics": {
             "standard_error": variance**0.5,
@@ -461,20 +452,20 @@ COMMANDS: dict[str, CommandSpec] = {
     "hydrogen": CommandSpec(
         "orbital mean radii, ground-state radial momentum, orthonormality",
         (
-            Option("max_n", "--max-n", _int_in_range("--max-n", 1, 8), 4,
+            Option("--max-n", _int_in_range(1, 8), 4,
                    "largest principal quantum number for mean radii"),
-            Option("ortho_max_n", "--ortho-max-n",
-                   _int_in_range("--ortho-max-n", 1, 4), 3,
+            Option("--ortho-max-n", _int_in_range(1, 4), 3,
                    "largest n in the orthonormality table; each pair uses "
                    "its own radial grid (r_max 40 n^2 for the larger n, "
                    "spacing at most 0.02)"),
-            Option("r_max", "--r-max", _float_value("--r-max", positive=True),
-                   None, "radial grid extent in Bohr radii for the mean "
-                         "radii and momentum (default: per-orbital 40 n^2); "
-                         "the spacing r_max/(points-1) must be at most 1; "
-                         "not used by the orthonormality table"),
-            Option("points", "--points",
-                   _int_in_range("--points", 5, HYDROGEN_MAX_POINTS), None,
+            Option("--r-max", _float_value(positive=True), None,
+                   "radial grid extent in Bohr radii for the mean "
+                   "radii and momentum (default: per-orbital 40 n^2); "
+                   "the spacing r_max/(points-1) must be at most 1; "
+                   "not used by the orthonormality table"),
+            Option("--points",
+                   _int_in_range(hydrogen.MIN_RADIAL_POINTS, HYDROGEN_MAX_POINTS),
+                   None,
                    "radial grid points for the mean radii and momentum "
                    "(default 4096); the spacing r_max/(points-1) must be "
                    "at most 1; not used by the orthonormality table"),
@@ -484,12 +475,10 @@ COMMANDS: dict[str, CommandSpec] = {
     "commutator-check": CommandSpec(
         "grid residual of the position-momentum commutator",
         (
-            Option("length", "--length",
-                   _float_value("--length", positive=True), 16.0,
+            Option("--length", _float_value(positive=True), 16.0,
                    "grid extent; must exceed about 12.26 for the Gaussian "
                    "to decay at the edges"),
-            Option("points", "--points",
-                   _int_in_range("--points", 5, COMMUTATOR_MAX_POINTS), 513,
+            Option("--points", _int_in_range(5, COMMUTATOR_MAX_POINTS), 513,
                    "grid points; the spacing length/points must be at "
                    "most 0.5 to resolve the Gaussian"),
         ),
@@ -498,19 +487,16 @@ COMMANDS: dict[str, CommandSpec] = {
     "epr": CommandSpec(
         "conditional distributions of the regularized two-particle state",
         (
-            Option("length", "--length",
-                   _float_value("--length", positive=True), 20.0,
+            Option("--length", _float_value(positive=True), 20.0,
                    "grid extent per axis"),
-            Option("points", "--points",
-                   _int_in_range("--points", 64, EPR_MAX_POINTS), 512,
+            Option("--points", _int_in_range(64, EPR_MAX_POINTS), 512,
                    "grid points per axis"),
-            Option("sigma", "--sigma", _float_value("--sigma", positive=True),
-                   0.5, "relative-coordinate width"),
-            Option("x0", "--x0", _float_value("--x0"), 1.0,
-                   "separation offset"),
-            Option("position", "--position", _float_value("--position"), 0.5,
+            Option("--sigma", _float_value(positive=True), 0.5,
+                   "relative-coordinate width"),
+            Option("--x0", _float_value(), 1.0, "separation offset"),
+            Option("--position", _float_value(), 0.5,
                    "position at which particle I is found"),
-            Option("momentum", "--momentum", _float_value("--momentum"), 1.0,
+            Option("--momentum", _float_value(), 1.0,
                    "momentum at which particle I is found"),
         ),
         run_epr,
@@ -521,7 +507,7 @@ COMMANDS: dict[str, CommandSpec] = {
             MODEL,
             P2_RULE,
             SAMPLES,
-            Option("angles", "--angles", _float_list("--angles"), [0.0, 60.0],
+            Option("--angles", _angle_pairs(2), [[0.0, 0.0], [60.0, 0.0]],
                    "two polar angles, or two polar,azimuth pairs, degrees"),
         ),
         run_singlet_correlation,
@@ -532,8 +518,8 @@ COMMANDS: dict[str, CommandSpec] = {
             MODEL,
             P2_RULE,
             SAMPLES,
-            Option("angles", "--angles", _float_list("--angles"),
-                   [0.0, 90.0, 45.0, 135.0],
+            Option("--angles", _angle_pairs(4),
+                   [[0.0, 0.0], [90.0, 0.0], [45.0, 0.0], [135.0, 0.0]],
                    "four polar angles (a, a2, b, b2), or four "
                    "polar,azimuth pairs, degrees"),
         ),
@@ -545,8 +531,7 @@ COMMANDS: dict[str, CommandSpec] = {
             MODEL,
             P2_RULE,
             SAMPLES,
-            Option("mode", "--mode", _choice("--mode", spinlab.SWITCH_MODES),
-                   "predicted",
+            Option("--mode", _choice(spinlab.SWITCH_MODES), "predicted",
                    "predicted: definite-spins bookkeeping; mechanistic: "
                    "collapse-ordered simulation"),
         ),
@@ -555,8 +540,7 @@ COMMANDS: dict[str, CommandSpec] = {
     "untangle": CommandSpec(
         "map singlets to definite product states and tally the branches",
         (
-            Option("samples", "--samples",
-                   _int_in_range("--samples", 1, MAX_SAMPLES), 1_000,
+            Option("--samples", _int_in_range(1, MAX_SAMPLES), 1_000,
                    "number of untangle draws"),
         ),
         run_untangle,
@@ -590,7 +574,7 @@ def load_config_file(path: str) -> dict[str, str]:
     """Parse key=value lines; blank lines and # comments are ignored."""
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}") from None
@@ -619,7 +603,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             f"unknown config file keys for {args.command}: "
             + ", ".join(unknown)
         )
-    settings: dict = {"command": args.command, "config_path": args.config_path}
+    settings: dict = {"command": args.command}
     for option in options:
         raw = getattr(args, option.dest)
         if raw is None:
@@ -627,22 +611,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         if raw is None:
             settings[option.dest] = option.default
         else:
-            settings[option.dest] = option.convert(raw)
+            settings[option.dest] = option.convert(option.flag, raw)
     return settings
-
-
-def _native(value):
-    """Coerce numpy scalars so json and csv see plain Python numbers."""
-    if isinstance(value, dict):
-        return {key: _native(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_native(item) for item in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    item = getattr(value, "item", None)
-    if callable(item):
-        return _native(item())
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _flatten(value, prefix: str, rows: list[tuple[str, str]]) -> None:
@@ -670,7 +640,6 @@ def _scalar_text(value) -> str:
 
 
 def render(payload: dict, output_format: str) -> str:
-    payload = _native(payload)
     if output_format == "json":
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     rows: list[tuple[str, str]] = []

@@ -53,6 +53,7 @@ MIN_R_MAX_PER_N2 = 20.0
 MAX_RADIAL_SPACING = 1.0
 
 DEFAULT_RADIAL_POINTS = 4096
+MIN_RADIAL_POINTS = 16
 
 # Widest spacing of the commutator check: its Gaussian exp(-x^2 / 2)
 # has width 1, and the grid must resolve it as EprConfig asks of sigma
@@ -92,8 +93,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.r_max <= 0.0:
             raise ValueError("r_max must be positive")
-        if self.points < 16:
-            raise ValueError("radial grid needs at least 16 points")
+        if self.points < MIN_RADIAL_POINTS:
+            raise ValueError(f"radial grid needs at least {MIN_RADIAL_POINTS} points")
 
     @property
     def spacing(self) -> float:

@@ -16,6 +16,7 @@ import pytest
 
 from eprlab.cli import (
     COMMANDS,
+    COMMON_OPTIONS,
     COMMUTATOR_MAX_POINTS,
     EPR_MAX_POINTS,
     HYDROGEN_MAX_POINTS,
@@ -25,8 +26,9 @@ from eprlab.cli import (
     resolve_settings,
     run_untangle,
 )
+from eprlab.hydrogen import MIN_RADIAL_POINTS, RadialGrid
 from eprlab.rng import make_stream
-from eprlab.spinlab import singlet, untangle
+from eprlab.spinlab import P2_RULES, SWITCH_MODES, singlet, untangle
 
 
 def run_cli(argv):
@@ -493,3 +495,125 @@ def test_non_utf8_config_file_exits_2(tmp_path):
     assert result.stdout == ""
     assert "cannot read config file" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_config_file_with_a_utf8_bom_reads_as_without(tmp_path):
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbfsamples=1000\n")
+    code, text = run_cli(["chsh", "--config", str(config)])
+    assert code == 0
+    assert text == run_cli(["chsh", "--samples", "1000"])[1]
+
+
+def test_hydrogen_points_floor_is_the_radial_grids(capsys):
+    assert MIN_RADIAL_POINTS == 16
+    assert RadialGrid(20.0, 16).points == 16
+    with pytest.raises(ValueError, match="at least 16 points"):
+        RadialGrid(20.0, 15)
+    argv = ["hydrogen", "--points", "16"]
+    assert resolve_settings(build_parser().parse_args(argv))["points"] == 16
+    code, out = run_cli(["hydrogen", "--points", "15"])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: --points must be at least 16\n"
+
+
+def assert_plain(value, path):
+    """Containers are dicts and lists only; leaves are exactly plain types."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, path
+            assert_plain(item, f"{path}.{key}")
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            assert_plain(item, f"{path}.{index}")
+    else:
+        assert type(value) in (bool, int, float, str, type(None)), (
+            f"{path}: {type(value).__name__}"
+        )
+
+
+SPIN_COMMANDS = ("singlet-correlation", "chsh", "switch")
+PAYLOAD_ARGV = (
+    [[command] for command in COMMANDS]
+    + [
+        [command, "--model", "p2", "--p2-rule", rule]
+        for command in SPIN_COMMANDS
+        for rule in P2_RULES
+    ]
+    + [["switch", "--mode", mode] for mode in SWITCH_MODES]
+    + [
+        ["switch", "--mode", mode, "--model", "p2", "--p2-rule", rule]
+        for mode in SWITCH_MODES
+        for rule in P2_RULES
+    ]
+    # The statistics and grids benchmark parameters.
+    + [
+        ["chsh", "--samples", str(2**23)],
+        ["chsh", "--model", "p2", "--p2-rule", "probabilistic",
+         "--samples", str(2**21)],
+        ["singlet-correlation", "--model", "p2", "--samples", "3000017",
+         "--angles", "30.5,10.0,140.25,200.0"],
+        ["switch", "--mode", "mechanistic", "--samples", "8000000"],
+        ["switch", "--model", "p2", "--samples", "8000000"],
+        ["untangle", "--samples", "20000"],
+        ["hydrogen", "--max-n", "8", "--ortho-max-n", "4"],
+        ["epr", "--points", "1024", "--position", "1.5", "--momentum", "-0.7"],
+        ["epr", "--points", "2048", "--position", "-2.0", "--momentum", "1.1"],
+        ["commutator-check", "--points", "1025"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PAYLOAD_ARGV, ids=" ".join)
+def test_payloads_hold_plain_values_only(argv):
+    # render writes payloads as they are: an np.float64 or a tuple here
+    # would reach a document.
+    settings = resolve_settings(build_parser().parse_args(argv))
+    assert_plain(COMMANDS[argv[0]].handler(settings), argv[0])
+
+
+# One non-default value per option; --angles in both of its forms.
+FLAG_VALUES = {
+    "--seed": ["5"], "--workers": ["2"], "--format": ["csv"],
+    "--model": ["p2"], "--p2-rule": ["probabilistic"], "--samples": ["2000"],
+    "--mode": ["mechanistic"], "--max-n": ["2"], "--ortho-max-n": ["2"],
+    "--r-max": ["400"], "--sigma": ["0.7"], "--x0": ["0.5"],
+    "--position": ["0.25"], "--momentum": ["0.5"],
+    ("hydrogen", "--points"): ["3001"],
+    ("commutator-check", "--length"): ["20"],
+    ("commutator-check", "--points"): ["1025"],
+    ("epr", "--length"): ["16"],
+    ("epr", "--points"): ["128"],
+    ("singlet-correlation", "--angles"): ["30,60", "30,10,60,20"],
+    ("chsh", "--angles"): ["10,80,40,130", "10,0,80,5,40,0,130,5"],
+}
+FLAG_CASES = [
+    pytest.param(command, option, value, id=f"{command} {option.flag} {value}")
+    for command, spec in COMMANDS.items()
+    for option in COMMON_OPTIONS + spec.options
+    if option.flag != "--output"
+    for value in FLAG_VALUES.get((command, option.flag)) or FLAG_VALUES[option.flag]
+]
+
+
+@pytest.mark.parametrize("command, option, value", FLAG_CASES)
+def test_flag_and_config_file_key_are_one_setting(command, option, value, tmp_path):
+    by_dest = tmp_path / "dest.cfg"
+    by_dest.write_text(f"{option.dest}={value}\n")
+    by_dashes = tmp_path / "dashes.cfg"
+    by_dashes.write_text(f"{option.flag[2:]}={value}\n")
+    argvs = [
+        [command, option.flag, value],
+        [command, "--config", str(by_dest)],
+        [command, "--config", str(by_dashes)],
+    ]
+    resolved = [
+        resolve_settings(build_parser().parse_args(argv))[option.dest]
+        for argv in argvs
+    ]
+    assert resolved[0] != option.default
+    assert resolved == [resolved[0]] * 3
+    runs = [run_cli(argv) for argv in argvs]
+    assert runs[0][0] == 0
+    assert runs == [runs[0]] * 3
