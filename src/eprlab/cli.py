@@ -141,10 +141,8 @@ MODEL = Option("--model", _choice(MODEL_CHOICES), "p1",
 P2_RULE = Option("--p2-rule", _choice(spinlab.P2_RULES), "deterministic",
                  "p2 response rule: deterministic sign rule or "
                  "probabilistic projection rule")
-# A pair tally is one draw whatever its size, but untangle reads one
-# uniform per draw (in chunks of spinlab.DEFAULT_BLOCK_SIZE); the cap
-# bounds those uniforms, about 6 min of untangle draws on a 2-CPU
-# machine.
+# Every tally is one draw whatever its size, so this cap bounds no run
+# time.
 MAX_SAMPLES = 2**36
 
 SAMPLES = Option("--samples", _int_in_range(1, MAX_SAMPLES), 100_000,
@@ -582,10 +580,11 @@ def load_config_file(path: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or not key:
             raise CliError(f"{path}:{number}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.replace("-", "_")] = value.strip()
     return values
 
 

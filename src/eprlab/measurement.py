@@ -5,7 +5,9 @@ observable on system I; measuring that observable collapses the joint
 state and leaves system II in a definite remote state. Expanding the
 same joint state in two different eigenbases yields two different
 remote-state assignments for the same unmeasured system, which is the
-tension these tools are built to exhibit.
+tension these tools are built to exhibit. An expansion keeps one entry
+per outcome: the eigenspace, its coefficient block over system II and
+the block's Born weight, as qcore.born_projections computes them.
 
 Expansions and collapses are memoized on the immutable objects they
 come from: a joint state keeps its expansion in the last observable it
@@ -23,10 +25,12 @@ import numpy as np
 
 from .qcore import (
     BipartiteState,
+    EigenGroup,
     LinearOperator,
     StateVector,
     born_cdf,
     born_draw,
+    born_projections,
     eigengroups,
     is_eigenstate,
 )
@@ -57,33 +61,37 @@ class SubsystemMeasurement(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ExpansionResult:
-    """Expansion of a joint state in a subsystem-I eigenbasis.
+    """Expansion of a joint state in a subsystem-I eigenbasis, one entry
+    per outcome.
 
-    Term n pairs the orthonormal eigenvector basis[:, n] of the measured
-    observable with the unnormalized coefficient vector coefficients[n]
-    over system II; probabilities[n] is that vector's squared norm.
-    Degenerate eigenvalues are clustered into outcome groups: group g
-    covers terms group_slices[g] and carries the eigenspace probability
-    group_probabilities[g] for eigenvalue group_eigenvalues[g].
+    Outcome g is the eigenspace groups[g] of the measured observable,
+    degenerate eigenvalues clustered into one group, in ascending order.
+    Its read-only coefficient block coefficients[g] has one unnormalized
+    system-II row per basis column of the eigenspace, so the joint
+    amplitudes are the sum over g of groups[g].basis @ coefficients[g].
+    group_probabilities[g], the block's squared norm, is the Born
+    probability of eigenvalue group_eigenvalues[g].
     """
 
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    coefficients: np.ndarray
-    probabilities: np.ndarray
-    group_slices: tuple[slice, ...]
-    group_eigenvalues: np.ndarray
+    groups: tuple[EigenGroup, ...]
+    coefficients: tuple[np.ndarray, ...]
     group_probabilities: np.ndarray
     labels_i: tuple[str, ...] = ()
     labels_ii: tuple[str, ...] = ()
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.group_slices)
+        return len(self.groups)
+
+    @cached_property
+    def group_eigenvalues(self) -> np.ndarray:
+        values = np.array([g.value for g in self.groups])
+        values.setflags(write=False)
+        return values
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of outer products u_n (x) coeff_n; equals the input amps."""
-        return self.basis @ self.coefficients
+        """Sum of basis @ block over the outcomes; equals the input amps."""
+        return sum(g.basis @ c for g, c in zip(self.groups, self.coefficients))
 
     @cached_property
     def outcome_probabilities(self) -> np.ndarray:
@@ -107,9 +115,8 @@ class ExpansionResult:
         found = memo[outcome]
         if found is None:
             remote = self._remote_state(outcome)
-            block = self.group_slices[outcome]
             collapsed = BipartiteState(
-                self.basis[:, block] @ self.coefficients[block],
+                self.groups[outcome].basis @ self.coefficients[outcome],
                 self.labels_i,
                 self.labels_ii,
             )
@@ -131,7 +138,7 @@ class ExpansionResult:
         return self.measurement(outcome).remote
 
     def _remote_state(self, outcome: int) -> StateVector:
-        block = self.coefficients[self.group_slices[outcome]]
+        block = self.coefficients[outcome]
         if float(np.linalg.norm(block)) <= 1e-15:
             raise ValueError(f"outcome {outcome} has zero probability")
         if block.shape[0] == 1:
@@ -168,46 +175,24 @@ def _check_subsystem_op(psi: BipartiteState, a: LinearOperator) -> None:
 def expand_bipartite(psi: BipartiteState, a: LinearOperator) -> ExpansionResult:
     """Expand the joint amplitudes in the eigenbasis of an observable on I.
 
-    Writes amps[m][j] = sum_n u_n[m] coeff_n[j] with u_n the eigenvectors
-    of a; coeff_n[j] = sum_m conj(u_n[m]) amps[m][j]. The squared norms
-    of the coefficient vectors are the Born probabilities, accumulated
-    per degenerate eigenspace. The state keeps its expansion in the last
-    observable it was expanded in, so repeats return the same read-only
-    result.
+    Writes amps = sum_g U_g @ C_g with U_g the orthonormal basis of
+    eigenspace g of a and C_g = U_g^dagger @ amps its coefficient block;
+    the squared norm of C_g is the Born probability of that eigenspace.
+    The state keeps its expansion in the last observable it was expanded
+    in, so repeats return the same read-only result.
     """
     _check_subsystem_op(psi, a)
     last = vars(psi).get("_last_expansion")
     if last is not None and last[0] is a:
         return last[1]
-    groups = eigengroups(a)
-    basis = np.concatenate([g.basis for g in groups], axis=1)
-    eigenvalues = np.concatenate(
-        [np.full(g.basis.shape[1], g.value) for g in groups]
-    )
-    coefficients = basis.conj().T @ psi.amps
-    probabilities = np.sum(np.abs(coefficients) ** 2, axis=1)
-    slices = []
-    start = 0
-    for g in groups:
-        width = g.basis.shape[1]
-        slices.append(slice(start, start + width))
-        start += width
-    group_probabilities = np.array(
-        [float(np.sum(probabilities[s])) for s in slices]
-    )
-    group_eigenvalues = np.array([g.value for g in groups])
-    for array in (
-        eigenvalues, basis, coefficients, probabilities,
-        group_eigenvalues, group_probabilities,
-    ):
-        array.setflags(write=False)
+    blocks, weights = zip(*born_projections(a, psi.amps))
+    for block in blocks:
+        block.setflags(write=False)
+    group_probabilities = np.array(weights)
+    group_probabilities.setflags(write=False)
     result = ExpansionResult(
-        eigenvalues=eigenvalues,
-        basis=basis,
-        coefficients=coefficients,
-        probabilities=probabilities,
-        group_slices=tuple(slices),
-        group_eigenvalues=group_eigenvalues,
+        groups=tuple(eigengroups(a)),
+        coefficients=blocks,
         group_probabilities=group_probabilities,
         labels_i=psi.labels_i,
         labels_ii=psi.labels_ii,

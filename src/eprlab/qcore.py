@@ -304,6 +304,18 @@ def born_draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def born_projections(
+    op: LinearOperator, amps: np.ndarray
+) -> list[tuple[np.ndarray, float]]:
+    """The coordinate block basis^dagger @ amps of each eigengroup of op,
+    in ascending order, with its squared norm: the one place a Born
+    weight is computed. amps is a state vector, or a joint amplitude
+    matrix whose rows span the system op acts on.
+    """
+    blocks = [g.basis.conj().T @ amps for g in op._eigengroups]
+    return [(block, float(np.sum(np.abs(block) ** 2))) for block in blocks]
+
+
 def measure_observable(
     op: LinearOperator, s: StateVector, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -320,9 +332,9 @@ def measure_observable(
     _require_same_dim(op, s)
     last = vars(s).get("_last_measurement")
     if last is None or last[0] is not op:
-        coords = [g.basis.conj().T @ s.amplitudes for g in op._eigengroups]
-        probs = np.array([float(np.sum(np.abs(c) ** 2)) for c in coords])
-        probs = probs / probs.sum()
+        coords, weights = zip(*born_projections(op, s.amplitudes))
+        probs = np.array(weights)
+        probs /= probs.sum()
         last = (op, coords, probs, born_cdf(probs), [None] * len(coords))
         vars(s)["_last_measurement"] = last
     _, coords, probs, cdf, records = last

@@ -18,10 +18,11 @@ probabilistic completion (projection probabilities, cos^2(theta/2)) is
 available as the labeled "probabilistic" rule; the two are never mixed.
 
 Every tally is drawn one way: all n pairs are one multinomial (binomial
-for the switch protocol) from the setting's exact joint law, drawn from
-one stream of the seed, so a fixed seed reproduces every count. A sum of
-independent multinomials with one law is a multinomial with that law,
-so no split of n would sample anything a single draw does not.
+for the switch protocol and untangle) from the setting's exact law,
+drawn from one stream of the seed, so a fixed seed reproduces every
+count. A sum of independent multinomials with one law is a multinomial
+with that law, so no split of n would sample anything a single draw
+does not.
 sample_pair and untangle are the per-pair reference routes the tallies
 are checked against. An analyzer setting builds its spin operator once,
 singlet() is one shared state, and its remote states keep their last
@@ -40,7 +41,7 @@ from .measurement import expand_bipartite, measure_subsystem
 from .qcore import (
     BipartiteState,
     LinearOperator,
-    eigengroups,
+    born_projections,
     measure_observable,
     sigma_x,
     sigma_y,
@@ -69,9 +70,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
 ]
 
-# Uniforms per chunk of untangle_counts, which reads n uniforms in
-# chunks of this size so its memory stays bounded; the chunking does not
-# change which uniforms are read.
+# Used by no sampler; kept because the benchmark's layer probes read it.
 DEFAULT_BLOCK_SIZE = 65536
 
 SWITCH_MODES = ("predicted", "mechanistic")
@@ -272,13 +271,11 @@ def joint_law(
     """
     if isinstance(model, QuantumEntangled):
         electron = expand_bipartite(singlet(), spin_operator(a))
-        down_b, up_b = eigengroups(spin_operator(b))
         law = []
         for k in (1, 0):  # electron up, then electron down
             remote = electron.remote_state(k).amplitudes
-            for group in (up_b, down_b):
-                born = np.sum(np.abs(group.basis.conj().T @ remote) ** 2)
-                law.append(electron.group_probabilities[k] * born)
+            (_, down_b), (_, up_b) = born_projections(spin_operator(b), remote)
+            law += [electron.group_probabilities[k] * w for w in (up_b, down_b)]
         return np.array(law)
     az, bz = np.clip([a.vector[2], b.vector[2]], -1.0, 1.0)
     law = np.zeros(4)
@@ -358,8 +355,9 @@ def _switch_electron_up(model: PairModel, mode: str) -> float:
     # collapsed state the electron is then measured on.
     swapped = BipartiteState(singlet().amps.T.copy())
     expansion = expand_bipartite(swapped, sigma_z())
+    # Electron up is sigma_z's +1 eigenspace, the last in ascending order.
     return sum(
-        float(p * np.abs(expansion.remote_state(k).amplitudes[0]) ** 2)
+        float(p * born_projections(sigma_z(), expansion.remote_state(k).amplitudes)[-1][1])
         for k, p in enumerate(expansion.group_probabilities)
     )
 
@@ -427,14 +425,10 @@ def untangle_counts(
 ) -> tuple[int, int]:
     """Up-down and down-up tallies of n untangle draws on psi.
 
-    Reads the same uniforms, in the same order, as n calls of
-    untangle(psi, rng), in chunks of DEFAULT_BLOCK_SIZE so memory stays
-    bounded.
+    The up-down count is one binomial draw of n at probability 1/2 from
+    rng, the law of n untangle calls.
     """
     _check_samples(n)
     untangle_branches(psi)
-    up_down = sum(
-        int(np.count_nonzero(rng.random(min(DEFAULT_BLOCK_SIZE, n - start)) < 0.5))
-        for start in range(0, n, DEFAULT_BLOCK_SIZE)
-    )
+    up_down = int(rng.binomial(n, 0.5))
     return up_down, n - up_down

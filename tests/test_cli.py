@@ -28,7 +28,7 @@ from eprlab.cli import (
 )
 from eprlab.hydrogen import MIN_RADIAL_POINTS, RadialGrid
 from eprlab.rng import make_stream
-from eprlab.spinlab import P2_RULES, SWITCH_MODES, singlet, untangle
+from eprlab.spinlab import P2_RULES, SWITCH_MODES
 
 
 def run_cli(argv):
@@ -147,17 +147,14 @@ def test_untangle_document():
     assert results["max_residual_schmidt_weight"] <= 1e-12
 
 
-def test_run_untangle_matches_per_draw_loop():
-    # The untangle document tallies chunked draws; it must read the
-    # stream exactly as one untangle call per draw does, also across a
-    # chunk boundary (65536 draws).
-    for seed, n in ((0, 65_540), (1, 2_000), (2, 2_000)):
-        rng = make_stream(seed, 0)
-        state = singlet()
-        looped = sum(untangle(state, rng).amps[0, 1] == 1.0 for _ in range(n))
+def test_untangle_tally_is_one_binomial_from_stream_0():
+    # The up-down tally is one binomial draw of n from stream 0 of the
+    # seed, at every size up to the cap.
+    for seed, n in ((0, 65_540), (1, 2_000), (2, MAX_SAMPLES)):
+        up_down = int(make_stream(seed, 0).binomial(n, 0.5))
         doc = run_untangle({"command": "untangle", "seed": seed, "samples": n})
-        assert doc["results"]["up_down"] == looped
-        assert doc["results"]["down_up"] == n - looped
+        assert doc["results"]["up_down"] == up_down
+        assert doc["results"]["down_up"] == n - up_down
         assert doc["results"]["max_residual_schmidt_weight"] == 0.0
 
 
@@ -196,6 +193,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _ = run_cli(["untangle", "--config", str(config)])
     assert code == 2
     assert "warp_factor" in capsys.readouterr().err
+
+
+def test_config_file_line_without_a_key_exits_2(tmp_path, capsys):
+    # A line with no "=" and a line with an empty key are both malformed,
+    # and both are named by their file line, not as unknown keys.
+    for line in ("samples 1000", "=5"):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# header\n{line}\n")
+        code, out = run_cli(["chsh", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert f"{config}:2: expected key=value, got {line!r}" in err
+        assert "unknown config file keys" not in err
 
 
 def test_validation_errors_exit_2(capsys):

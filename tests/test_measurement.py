@@ -54,20 +54,29 @@ def test_expand_product_state_single_term():
     s_ii = StateVector(rng.normal(size=3) + 1j * rng.normal(size=3))
     joint = tensor_product(s_i, s_ii)
     result = expand_bipartite(joint, sigma_z())
-    norms = np.linalg.norm(result.coefficients, axis=1)
+    assert [block.shape for block in result.coefficients] == [(1, 3), (1, 3)]
+    norms = np.array([np.linalg.norm(block) for block in result.coefficients])
     assert np.sum(norms > 1e-12) == 1
 
 
 def test_expand_reconstruction_random():
+    # Random observables have one-row blocks; sigma_z (x) identity(k)
+    # has two k-fold degenerate outcomes, so blocks of k rows.
     rng = np.random.default_rng(1)
+    cases = []
     for _ in range(50):
         di = int(rng.integers(2, 9))
         dii = int(rng.integers(2, 9))
         psi = random_bipartite(rng, di, dii)
-        a = random_hermitian(rng, di)
+        cases.append((psi, random_hermitian(rng, di), [1] * di))
+    for k in range(1, 5):
+        psi = random_bipartite(rng, 2 * k, int(rng.integers(2, 9)))
+        cases.append((psi, sigma_z().kron(identity(k)), [k, k]))
+    for psi, a, rows in cases:
         result = expand_bipartite(psi, a)
+        assert [block.shape[0] for block in result.coefficients] == rows
         np.testing.assert_allclose(result.reconstruct(), psi.amps, atol=1e-12)
-        assert abs(np.sum(result.probabilities) - 1.0) <= 1e-10
+        assert abs(np.sum(result.group_probabilities) - 1.0) <= 1e-10
 
 
 def test_expand_rejects_non_hermitian():
@@ -275,10 +284,11 @@ def test_expansion_and_collapse_are_memoized_and_read_only():
     a = random_hermitian(rng, 3)
     expansion = expand_bipartite(psi, a)
     assert expand_bipartite(psi, a) is expansion
+    assert len(expansion.coefficients) == expansion.n_outcomes
     for array in (
-        expansion.eigenvalues, expansion.basis, expansion.coefficients,
-        expansion.probabilities, expansion.group_eigenvalues,
-        expansion.group_probabilities, expansion.outcome_probabilities,
+        *(g.basis for g in expansion.groups), *expansion.coefficients,
+        expansion.group_eigenvalues, expansion.group_probabilities,
+        expansion.outcome_probabilities,
     ):
         assert not array.flags.writeable
     for k in range(expansion.n_outcomes):
