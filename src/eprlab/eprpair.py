@@ -52,16 +52,42 @@ __all__ = [
 NORM_ATOL = 1e-10
 
 
+def _squared_sum(values: np.ndarray) -> float:
+    """Sum of |values|^2 over a 2D array in one pass, with no temporary.
+
+    Complex samples are read as interleaved (re, im) float64 pairs,
+    which needs a unit-stride last axis. einsum is left unoptimized, so
+    no BLAS call makes the sum depend on the thread count.
+    """
+    f = values.view(np.float64)
+    return float(np.einsum("ij,ij->", f, f))
+
+
 def _l2_norm(values: np.ndarray, grid: UniformGrid2D) -> float:
-    """Discrete L2 norm; each point weighs the cell area h^2."""
-    density = np.abs(values)
-    density *= density
-    return float(np.sqrt(np.sum(density) * grid.spacing**2))
+    """Discrete L2 norm; each point weighs the cell area h^2. One pass
+    over 2D samples with a unit-stride last axis."""
+    return float(np.sqrt(_squared_sum(values) * grid.spacing**2))
 
 
-def _sample_dtype(values) -> type:
-    """float for real samples, complex for complex ones."""
-    return complex if np.iscomplexobj(values) else float
+def _owned_copy(values) -> np.ndarray:
+    """A C-ordered copy of values: float64 for real samples, complex128
+    for complex ones."""
+    dtype = complex if np.iscomplexobj(values) else float
+    return np.array(values, dtype=dtype, order="C")
+
+
+def _check_samples(values: np.ndarray, grid) -> None:
+    """Raise ValueError unless grid is a UniformGrid2D and values has
+    its (points, points) shape."""
+    if not isinstance(grid, UniformGrid2D):
+        raise ValueError(
+            f"grid function requires a UniformGrid2D, got {type(grid).__name__}"
+        )
+    expected = (grid.points, grid.points)
+    if values.shape != expected:
+        raise ValueError(
+            f"values shape {values.shape} does not match grid shape {expected}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +115,7 @@ class GridFunction:
     grid: UniformGrid2D
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.values, dtype=_sample_dtype(self.values)))
+        self._own(_owned_copy(self.values))
         self._check_norm(self.norm)
 
     @classmethod
@@ -102,15 +128,7 @@ class GridFunction:
         return psi
 
     def _own(self, values: np.ndarray) -> None:
-        if not isinstance(self.grid, UniformGrid2D):
-            raise ValueError(
-                f"grid function requires a UniformGrid2D, got {type(self.grid).__name__}"
-            )
-        expected = (self.grid.points, self.grid.points)
-        if values.shape != expected:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid shape {expected}"
-            )
+        _check_samples(values, self.grid)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -125,8 +143,7 @@ class GridFunction:
     @classmethod
     def normalized(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
         """A copy of values divided by their norm."""
-        values = np.array(values, dtype=_sample_dtype(values))
-        return cls._normalize_owned(values, grid)
+        return cls._normalize_owned(_owned_copy(values), grid)
 
     @classmethod
     def _normalize_owned(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
@@ -134,8 +151,10 @@ class GridFunction:
         their norm in place: one norm pass, one division.
 
         The quotient has unit norm by construction, so it is adopted
-        without a second norm pass or a copy.
+        without a second norm pass or a copy. The grid and shape are
+        checked before the norm pass.
         """
+        _check_samples(values, grid)
         norm = _l2_norm(values, grid)
         if norm == 0.0:
             raise ValueError("cannot normalize an identically zero grid function")
@@ -174,17 +193,18 @@ class GridFunction:
     @cached_property
     def momentum_norm(self) -> float:
         """Discrete L2 norm of the momentum representation, read from the
-        half spectrum.
+        half spectrum with no temporary.
 
         Columns 1 .. stand for themselves and their mirrors -k2 and weigh
         2; the zero column and, for an even point count, the Nyquist
-        column are their own mirrors and weigh 1.
+        column are their own mirrors and weigh 1. So the squared sum
+        runs once over the whole half spectrum and once more over the
+        weight-2 columns, a unit-stride view of it.
         """
         n = self.grid.points
-        density = np.abs(self._half_spectrum)
-        density *= density
-        density[:, 1 : (n + 1) // 2] *= 2.0
-        return float(np.sqrt(np.sum(density) * self._momentum_grid.spacing**2))
+        half = self._half_spectrum
+        total = _squared_sum(half) + _squared_sum(half[:, 1 : (n + 1) // 2])
+        return float(np.sqrt(total * self._momentum_grid.spacing**2))
 
     def _momentum_rows(self, rows) -> np.ndarray:
         """Rows of momentum_representation(self).values, restored from
@@ -313,9 +333,10 @@ def build_epr_state(cfg: EprConfig) -> GridFunction:
         -(((steps - 2 * (n // 2)) * h / 2.0) ** 2) / (4.0 * cfg.envelope_width**2)
     )
     windows = np.lib.stride_tricks.sliding_window_view
-    # windows(v, n)[i, j] = v[i + j]; with its columns reversed it reads
-    # v[i - j + n - 1].
-    raw = windows(relative, n)[:, ::-1] * windows(center, n)
+    # windows(v, n)[i, j] = v[i + j]. Over the reversed copy r of
+    # relative, with its rows reversed, it reads r[n - 1 - i + j] =
+    # relative[i - j + n - 1], with a unit stride along each row.
+    raw = windows(relative[::-1].copy(), n)[::-1] * windows(center, n)
     return GridFunction._normalize_owned(raw, cfg.grid)
 
 

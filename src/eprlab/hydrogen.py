@@ -314,8 +314,9 @@ class _OverlapQuadrature:
     """Overlap integrals on the angular rule.
 
     Each orbital's radial samples are computed once per radial grid,
-    each radial integral once per (n, l) pair and grid, and each Y_lm
-    once, however many pairs read them.
+    each radial integral once per (n, l) pair and grid, each Y_lm once
+    and each angular sum once per ((l, m), (l, m)) pair, however many
+    pairs read them.
     """
 
     def __init__(self) -> None:
@@ -323,6 +324,7 @@ class _OverlapQuadrature:
         self._radial: dict[tuple[RadialGrid, int, int], np.ndarray] = {}
         self._radial_integrals: dict[tuple, float] = {}
         self._harmonic: dict[tuple[int, int], np.ndarray] = {}
+        self._angular_sums: dict[tuple[int, int, int, int], complex] = {}
 
     def _radial_samples(self, grid: RadialGrid, n: int, l: int) -> np.ndarray:
         key = (grid, n, l)
@@ -348,12 +350,19 @@ class _OverlapQuadrature:
             )
         return self._harmonic[(l, m)]
 
+    def _angular_sum(self, o1: Orbital, o2: Orbital) -> complex:
+        key = (o1.l, o1.m, o2.l, o2.m)
+        if key not in self._angular_sums:
+            y1 = self._harmonic_samples(o1.l, o1.m)
+            y2 = self._harmonic_samples(o2.l, o2.m)
+            self._angular_sums[key] = (
+                np.sum(self.w_theta[:, None] * np.conj(y1) * y2) * self.w_phi
+            )
+        return self._angular_sums[key]
+
     def overlap(self, o1: Orbital, o2: Orbital) -> complex:
         radial = self._radial_integral(_overlap_grid(max(o1.n, o2.n)), o1, o2)
-        y1 = self._harmonic_samples(o1.l, o1.m)
-        y2 = self._harmonic_samples(o2.l, o2.m)
-        angular = np.sum(self.w_theta[:, None] * np.conj(y1) * y2) * self.w_phi
-        return complex(radial * angular)
+        return complex(radial * self._angular_sum(o1, o2))
 
 
 def orbital_overlap(o1: Orbital, o2: Orbital) -> complex:

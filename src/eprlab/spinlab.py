@@ -104,6 +104,19 @@ class PreassignedDefinite:
 PairModel = Union[QuantumEntangled, PreassignedDefinite]
 
 
+# (cos, sin) at 0, 90, 180 and 270 degrees.
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def _cos_sin_degrees(angle: float) -> tuple[float, float]:
+    """cos and sin of an angle in degrees; exact at multiples of 90."""
+    quarters, rest = divmod(angle, 90.0)
+    if rest == 0.0:
+        return _QUARTER_TURNS[int(quarters) % 4]
+    radians = np.deg2rad(angle)
+    return np.cos(radians), np.sin(radians)
+
+
 @dataclass(frozen=True, eq=False)
 class AnalyzerSetting:
     """Measurement direction as a unit vector in 3-space."""
@@ -136,7 +149,20 @@ class AnalyzerSetting:
 
     @classmethod
     def from_degrees(cls, polar: float, azimuthal: float) -> AnalyzerSetting:
-        return cls.from_angles(np.deg2rad(polar), np.deg2rad(azimuthal))
+        """Unit vector from polar and azimuthal angles in degrees.
+
+        As from_angles, except that an angle at a multiple of 90 degrees
+        has an exact cosine and sine, 0 or +-1: an analyzer at polar 90
+        has z-component 0, not cos(pi / 2) = 6.1e-17, so the preassigned
+        model's tie-break decides its sign.
+        """
+        cos_polar, sin_polar = _cos_sin_degrees(polar)
+        cos_azimuthal, sin_azimuthal = _cos_sin_degrees(azimuthal)
+        return cls(
+            np.array(
+                [sin_polar * cos_azimuthal, sin_polar * sin_azimuthal, cos_polar]
+            )
+        )
 
     def dot(self, other: AnalyzerSetting) -> float:
         return float(self.vector @ other.vector)

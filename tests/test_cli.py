@@ -78,6 +78,15 @@ def test_chsh_preassigned_respects_classical_bound():
     assert abs(doc["results"]["s"]) <= 2.0 + 1e-12
 
 
+@pytest.mark.parametrize("angles", ["90,90", "90,270"])
+def test_p2_tie_break_fires_from_the_cli(angles):
+    # Both analyzers lie in the equatorial plane, z-component exactly 0:
+    # the sign rule's tie toward +1 gives both particles +1 every pair.
+    doc = run_json(["singlet-correlation", "--model", "p2", "--angles", angles])
+    assert doc["results"]["correlation"] == 1.0
+    assert doc["results"]["counts"]["up_up"] == doc["results"]["n_pairs"]
+
+
 def test_hydrogen_document():
     doc = run_json(["hydrogen"])
     rows = {(row["n"], row["l"]): row for row in doc["results"]["mean_radius"]}

@@ -9,6 +9,7 @@ momentum space the same algebra gives a conditional mean
 1 / sqrt(sigma^2 + 4 Lambda^2).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -320,20 +321,57 @@ def test_state_is_bitwise_out_of_place_normalization(points):
     assert np.array_equal(build_epr_state(cfg).values.view(float), expected.view(float))
 
 
+def squared_sum(values):
+    f = values.view(float)
+    return np.einsum("ij,ij->", f, f)
+
+
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_momentum_norm_is_bitwise_squared_magnitude_formula(points):
+    # The whole half spectrum once, plus the weight-2 columns once more.
     psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
-    density = np.abs(psi._half_spectrum) ** 2
-    density[:, 1 : (points + 1) // 2] *= 2.0
-    expected = float(np.sqrt(np.sum(density) * psi._momentum_grid.spacing**2))
+    half = psi._half_spectrum
+    total = squared_sum(half) + squared_sum(half[:, 1 : (points + 1) // 2])
+    expected = float(np.sqrt(total * psi._momentum_grid.spacing**2))
     assert psi.momentum_norm == expected
 
 
-def test_epr_document_peak_memory_stays_below_1_375_complex_grids():
-    # The real state, its half spectrum and one real half-grid of
-    # squared magnitudes: about 1.25 n^2 complex samples at the peak. A
-    # second half-spectrum buffer or a temporary beside the state would
-    # add a quarter or a half of n^2 * 16 B.
+@pytest.mark.parametrize("points", [64, 65, 100, 1024])
+def test_both_norms_match_an_exactly_rounded_sum(points):
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
+    position = math.fsum((psi.values.ravel() ** 2).tolist())
+    assert psi.norm == pytest.approx(
+        math.sqrt(position * psi.grid.spacing**2), rel=1e-14, abs=0.0
+    )
+    squares = psi._half_spectrum.view(float) ** 2
+    squares[:, 2 : 2 * ((points + 1) // 2)] *= 2.0
+    momentum = math.fsum(squares.ravel().tolist())
+    assert psi.momentum_norm == pytest.approx(
+        math.sqrt(momentum * psi._momentum_grid.spacing**2), rel=1e-14, abs=0.0
+    )
+
+
+def test_building_the_state_holds_no_grid_sized_temporary():
+    # The real state is half of n^2 * 16 B; the factors' 2n - 1 samples
+    # and numpy's fixed-size buffers come on top. A second real grid
+    # beside the state, such as an out-of-place normalization or a
+    # squared-magnitude array, would double the peak.
+    n = 1024
+    cfg = EprConfig(grid=UniformGrid2D(10.0, n))
+    build_epr_state(EprConfig(grid=UniformGrid2D(10.0, 64)))
+    tracemalloc.start()
+    try:
+        build_epr_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n * 16 + 64 * n * 8 + 2**17
+
+
+def test_epr_document_peak_memory_stays_below_1_125_complex_grids():
+    # The real state and its half spectrum: about n^2 complex samples
+    # at the peak. A real half-grid temporary beside them, such as a
+    # squared-magnitude array, would add a quarter of n^2 * 16 B.
     n = 512
     settings = cli.resolve_settings(
         cli.build_parser().parse_args(["epr", "--points", str(n)])
@@ -344,7 +382,7 @@ def test_epr_document_peak_memory_stays_below_1_375_complex_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.375 * n * n * 16
+    assert peak <= 1.125 * n * n * 16
 
 
 def test_momentum_representation_is_computed_once_and_read_only(fft_route):
@@ -388,6 +426,14 @@ def test_constructor_copies_and_validates():
         GridFunction(values[:8], SMALL)
     with pytest.raises(ValueError, match="norm"):
         GridFunction(np.full((16, 16), np.nan), SMALL)
+
+
+def test_column_major_complex_samples_are_accepted():
+    # The norm reads complex samples as (re, im) pairs along the last
+    # axis, so the owned copy must be row-major whatever the input is.
+    values = np.asfortranarray(np.full((16, 16), 0.06 + 0.08j))
+    assert GridFunction(values, SMALL).norm == pytest.approx(1.0, abs=1e-12)
+    assert GridFunction.normalized(2.0 * values, SMALL).values.flags.c_contiguous
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf, 1e200])

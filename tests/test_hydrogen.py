@@ -232,10 +232,36 @@ def test_commutator_check_custom_grid():
 
 
 def test_orthonormality_table_is_per_pair_overlap_bit_for_bit():
-    table = orthonormality_table(3)
-    assert len(table) == 14 * 15 // 2
+    table = orthonormality_table(4)
+    assert len(table) == 30 * 31 // 2
     for o1, o2, value in table:
         assert value == orbital_overlap(o1, o2)
+
+
+def test_orthonormality_table_sums_each_angular_key_once(monkeypatch):
+    made = []
+
+    class Recorded(hydrogen._OverlapQuadrature):
+        def __init__(self):
+            super().__init__()
+            self.harmonic_reads = 0
+            made.append(self)
+
+        def _harmonic_samples(self, l, m):
+            self.harmonic_reads += 1
+            return super()._harmonic_samples(l, m)
+
+    monkeypatch.setattr(hydrogen, "_OverlapQuadrature", Recorded)
+    table = orthonormality_table(4)
+    (quadrature,) = made
+    # 465 pairs read 172 ordered (l1, m1, l2, m2) keys. A key and its
+    # reverse are summed apart: conj(Y1) Y2 and conj(Y2) Y1 round apart,
+    # and each entry must equal orbital_overlap(o1, o2) bit for bit.
+    keys = {(o1.l, o1.m, o2.l, o2.m) for o1, o2, _value in table}
+    assert len(keys) == 172
+    assert set(quadrature._angular_sums) == keys
+    # Each sum reads its two harmonics once, when it is computed.
+    assert quadrature.harmonic_reads == 2 * 172
 
 
 def test_orthonormality_table_samples_each_orbital_once(count_calls):

@@ -117,6 +117,29 @@ def test_analyzer_setting_validation():
     np.testing.assert_allclose(s.vector, [0.0, 1.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "polar, azimuthal, vector",
+    [
+        (90.0, 0.0, [1.0, 0.0, 0.0]),
+        (90.0, 90.0, [0.0, 1.0, 0.0]),
+        (180.0, 0.0, [0.0, 0.0, -1.0]),
+        (270.0, -180.0, [1.0, 0.0, 0.0]),
+        (450.0, 270.0, [0.0, -1.0, 0.0]),
+    ],
+)
+def test_from_degrees_is_exact_at_quarter_turns(polar, azimuthal, vector):
+    assert AnalyzerSetting.from_degrees(polar, azimuthal).vector.tolist() == vector
+
+
+@pytest.mark.parametrize(
+    "polar, azimuthal", [(30.0, 10.0), (135.0, 0.0), (37.0, 101.0)]
+)
+def test_from_degrees_elsewhere_is_from_angles_bit_for_bit(polar, azimuthal):
+    setting = AnalyzerSetting.from_degrees(polar, azimuthal)
+    expected = AnalyzerSetting.from_angles(np.deg2rad(polar), np.deg2rad(azimuthal))
+    assert np.array_equal(setting.vector, expected.vector)
+
+
 def test_spin_operator_along_axes():
     np.testing.assert_allclose(
         spin_operator(Z).entries, np.diag([1.0, -1.0]), atol=1e-12
