@@ -3,10 +3,13 @@
 Each invocation produces one document with three top-level sections:
 config (the effective experiment parameters), results (measured
 quantities), and statistics (uncertainty estimates and tolerances).
-The document is serialized as JSON with sorted keys or as a flat
-two-column CSV of dotted keys, so a fixed (seed, config) pair yields
-byte-identical output. Handlers return plain dicts, lists, bools, ints,
-floats, strings and None, which both formats write as they are.
+A handler returns only its results and statistics, where a library
+record goes in whole, as dataclasses.asdict gives it; main adds the
+config echo, so each document is assembled in one place. The document
+is serialized as JSON with sorted keys or as a flat two-column CSV of
+dotted keys, so a fixed (seed, config) pair yields byte-identical
+output. Handlers return plain dicts, lists, bools, ints, floats,
+strings and None, which both formats write as they are.
 
 Each flag is named once, in the COMMANDS option table: its settings
 key, and its key in a --config file (UTF-8, with or without a BOM), is
@@ -30,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Callable
 
@@ -163,10 +166,6 @@ COMMUTATOR_MAX_POINTS = HYDROGEN_MAX_POINTS
 _NON_CONFIG = {"format", "output", "workers"}
 
 
-def _base_config(settings: dict) -> dict:
-    return {key: value for key, value in settings.items() if key not in _NON_CONFIG}
-
-
 def _pair_model(settings: dict):
     if settings["model"] == "p1":
         return spinlab.QuantumEntangled()
@@ -222,7 +221,6 @@ def run_hydrogen(settings: dict) -> dict:
         )
 
     return {
-        "config": _base_config(settings),
         "results": {
             "mean_radius": rows,
             "ground_state_momentum": {
@@ -246,17 +244,7 @@ def run_commutator_check(settings: dict) -> dict:
     report = hydrogen.grid_commutator_check(
         grids.UniformGrid1D(length=settings["length"], points=settings["points"])
     )
-    return {
-        "config": _base_config(settings),
-        "results": {
-            "convergence_order": report.convergence_order,
-            "max_interior_residual": report.max_interior_residual,
-            "refined_residual": report.refined_residual,
-            "residual_constant": report.residual_constant,
-            "spacing": report.spacing,
-        },
-        "statistics": {},
-    }
+    return {"results": asdict(report), "statistics": {}}
 
 
 def run_epr(settings: dict) -> dict:
@@ -278,7 +266,6 @@ def run_epr(settings: dict) -> dict:
     expected_x = position.sliced_at + cfg.x0
     expected_p = -momentum.sliced_at
     return {
-        "config": _base_config(settings),
         "results": {
             "conditional_position": {
                 "slice_at": position.sliced_at,
@@ -319,16 +306,10 @@ def run_singlet_correlation(settings: dict) -> dict:
     value = counts.correlation
     n = counts.n_pairs
     return {
-        "config": _base_config(settings),
         "results": {
             "correlation": value,
             "n_pairs": n,
-            "counts": {
-                "up_up": counts.up_up,
-                "up_down": counts.up_down,
-                "down_up": counts.down_up,
-                "down_down": counts.down_down,
-            },
+            "counts": asdict(counts),
             "electron_setting": settings["angles"][0],
             "positron_setting": settings["angles"][1],
         },
@@ -343,34 +324,29 @@ def run_chsh(settings: dict) -> dict:
     positron_setting, sign, value, n_pairs}. statistics:
     standard_error, classical_bound, tsirelson_bound."""
     pairs = settings["angles"]
-    a, a2, b, b2 = (spinlab.AnalyzerSetting.from_degrees(*p) for p in pairs)
     all_counts = spinlab.chsh_blocked(
-        _pair_model(settings), a, a2, b, b2, settings["samples"], settings["seed"]
-    )
-    combination = (
-        (pairs[0], pairs[2], 1.0),
-        (pairs[0], pairs[3], -1.0),
-        (pairs[1], pairs[2], 1.0),
-        (pairs[1], pairs[3], 1.0),
+        _pair_model(settings),
+        *(spinlab.AnalyzerSetting.from_degrees(*p) for p in pairs),
+        settings["samples"],
+        settings["seed"],
     )
     s = 0.0
     variance = 0.0
     rows = []
-    for (ea, eb, sign), counts in zip(combination, all_counts):
+    for (i, j, sign), counts in zip(spinlab.CHSH_TERMS, all_counts):
         value = counts.correlation
         s += sign * value
         variance += max(0.0, 1.0 - value * value) / counts.n_pairs
         rows.append(
             {
-                "electron_setting": ea,
-                "positron_setting": eb,
+                "electron_setting": pairs[i],
+                "positron_setting": pairs[j],
                 "sign": sign,
                 "value": value,
                 "n_pairs": counts.n_pairs,
             }
         )
     return {
-        "config": _base_config(settings),
         "results": {"s": s, "correlations": rows},
         "statistics": {
             "standard_error": variance**0.5,
@@ -393,14 +369,10 @@ def run_switch(settings: dict) -> dict:
     )
     p = report.p_electron_up
     return {
-        "config": _base_config(settings),
         "results": {
+            **asdict(report),
             "p_electron_up": p,
             "p_positron_down": report.p_positron_down,
-            "n_pairs": report.n_pairs,
-            "n_electron_up": report.n_electron_up,
-            "n_positron_down": report.n_positron_down,
-            "note": report.note,
         },
         "statistics": {
             "standard_error_electron_up": (
@@ -426,7 +398,6 @@ def run_untangle(settings: dict) -> dict:
         if count
     )
     return {
-        "config": _base_config(settings),
         "results": {
             "n_draws": n,
             "up_down": tallies[0],
@@ -666,7 +637,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = resolve_settings(args)
         try:
-            payload = COMMANDS[settings["command"]].handler(settings)
+            payload = {
+                "config": {
+                    key: value
+                    for key, value in settings.items()
+                    if key not in _NON_CONFIG
+                },
+                **COMMANDS[settings["command"]].handler(settings),
+            }
             # A non-finite result cannot be rendered: JSON (RFC 8259)
             # has no NaN or Infinity.
             text = render(payload, settings["format"])

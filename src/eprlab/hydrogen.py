@@ -310,59 +310,44 @@ def _overlap_grid(n_max: int) -> RadialGrid:
     return RadialGrid(r_max, points)
 
 
-class _OverlapQuadrature:
-    """Overlap integrals on the angular rule.
+def _overlap_quadrature():
+    """Overlap integrals on the angular rule, as one overlap(o1, o2).
 
     Each orbital's radial samples are computed once per radial grid,
     each radial integral once per (n, l) pair and grid, each Y_lm once
-    and each angular sum once per ((l, m), (l, m)) pair, however many
-    pairs read them.
+    and each angular sum once per ordered (l1, m1, l2, m2) key, however
+    many pairs read them; the caches live as long as the returned
+    function.
     """
+    theta, w_theta, phi, w_phi = _angular_quadrature()
 
-    def __init__(self) -> None:
-        self.theta, self.w_theta, self.phi, self.w_phi = _angular_quadrature()
-        self._radial: dict[tuple[RadialGrid, int, int], np.ndarray] = {}
-        self._radial_integrals: dict[tuple, float] = {}
-        self._harmonic: dict[tuple[int, int], np.ndarray] = {}
-        self._angular_sums: dict[tuple[int, int, int, int], complex] = {}
+    @cache
+    def radial_samples(grid: RadialGrid, n: int, l: int) -> np.ndarray:
+        return radial_wavefunction(n, l, grid.radii)
 
-    def _radial_samples(self, grid: RadialGrid, n: int, l: int) -> np.ndarray:
-        key = (grid, n, l)
-        if key not in self._radial:
-            self._radial[key] = radial_wavefunction(n, l, grid.radii)
-        return self._radial[key]
+    @cache
+    def radial_integral(grid: RadialGrid, n1: int, l1: int, n2: int, l2: int) -> float:
+        return _simpson(
+            radial_samples(grid, n1, l1) * radial_samples(grid, n2, l2) * grid.radii**2,
+            grid.spacing,
+        )
 
-    def _radial_integral(self, grid: RadialGrid, o1: Orbital, o2: Orbital) -> float:
-        key = (grid, o1.n, o1.l, o2.n, o2.l)
-        if key not in self._radial_integrals:
-            self._radial_integrals[key] = _simpson(
-                self._radial_samples(grid, o1.n, o1.l)
-                * self._radial_samples(grid, o2.n, o2.l)
-                * grid.radii**2,
-                grid.spacing,
-            )
-        return self._radial_integrals[key]
+    @cache
+    def harmonic(l: int, m: int) -> np.ndarray:
+        return spherical_harmonic(l, m, theta[:, None], phi[None, :])
 
-    def _harmonic_samples(self, l: int, m: int) -> np.ndarray:
-        if (l, m) not in self._harmonic:
-            self._harmonic[(l, m)] = spherical_harmonic(
-                l, m, self.theta[:, None], self.phi[None, :]
-            )
-        return self._harmonic[(l, m)]
+    @cache
+    def angular_sum(l1: int, m1: int, l2: int, m2: int) -> complex:
+        y1 = harmonic(l1, m1)
+        y2 = harmonic(l2, m2)
+        return np.sum(w_theta[:, None] * np.conj(y1) * y2) * w_phi
 
-    def _angular_sum(self, o1: Orbital, o2: Orbital) -> complex:
-        key = (o1.l, o1.m, o2.l, o2.m)
-        if key not in self._angular_sums:
-            y1 = self._harmonic_samples(o1.l, o1.m)
-            y2 = self._harmonic_samples(o2.l, o2.m)
-            self._angular_sums[key] = (
-                np.sum(self.w_theta[:, None] * np.conj(y1) * y2) * self.w_phi
-            )
-        return self._angular_sums[key]
+    def overlap(o1: Orbital, o2: Orbital) -> complex:
+        grid = _overlap_grid(max(o1.n, o2.n))
+        radial = radial_integral(grid, o1.n, o1.l, o2.n, o2.l)
+        return complex(radial * angular_sum(o1.l, o1.m, o2.l, o2.m))
 
-    def overlap(self, o1: Orbital, o2: Orbital) -> complex:
-        radial = self._radial_integral(_overlap_grid(max(o1.n, o2.n)), o1, o2)
-        return complex(radial * self._angular_sum(o1, o2))
+    return overlap
 
 
 def orbital_overlap(o1: Orbital, o2: Orbital) -> complex:
@@ -378,7 +363,7 @@ def orbital_overlap(o1: Orbital, o2: Orbital) -> complex:
     overlap integrates the steepest orbital over the widest orbital's
     range, so the spacing is capped at 0.02 Bohr radii.
     """
-    return _OverlapQuadrature().overlap(o1, o2)
+    return _overlap_quadrature()(o1, o2)
 
 
 def orthonormality_table(max_n: int = 3) -> list[tuple[Orbital, Orbital, complex]]:
@@ -395,11 +380,11 @@ def orthonormality_table(max_n: int = 3) -> list[tuple[Orbital, Orbital, complex
         for l in range(n)
         for m in range(-l, l + 1)
     ]
-    quadrature = _OverlapQuadrature()
+    overlap = _overlap_quadrature()
     table = []
     for i, o1 in enumerate(orbitals):
         for o2 in orbitals[i:]:
-            table.append((o1, o2, quadrature.overlap(o1, o2)))
+            table.append((o1, o2, overlap(o1, o2)))
     return table
 
 

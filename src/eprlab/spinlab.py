@@ -77,6 +77,10 @@ SWITCH_MODES = ("predicted", "mechanistic")
 
 P2_RULES = ("deterministic", "probabilistic")
 
+# S = E(a,b) - E(a,b2) + E(a2,b) + E(a2,b2), one term a row: the
+# electron's and the positron's index into (a, a2, b, b2), then the sign.
+CHSH_TERMS = ((0, 2, 1.0), (0, 3, -1.0), (1, 2, 1.0), (1, 3, 1.0))
+
 MECHANISTIC_DIVERGENCE_NOTE = (
     "mechanistic collapse: the electron anti-correlates with the positron's "
     "pre-flip value, so electron-up comes out 1/2 instead of the predicted-"
@@ -352,12 +356,18 @@ def chsh_blocked(
     n: int,
     seed: int,
 ) -> tuple[PairCounts, PairCounts, PairCounts, PairCounts]:
-    """Tallies of the CHSH correlations (a,b), (a,b2), (a2,b), (a2,b2),
-    n pairs each; correlation j draws from stream j of the seed."""
+    """Tallies of the four CHSH correlations, n pairs each, in
+    CHSH_TERMS order; term j draws from stream j of the seed."""
+    settings = (a, a2, b, b2)
     return tuple(
-        pair_counts_blocked(model, sa, sb, n, seed, stream_offset=j)
-        for j, (sa, sb) in enumerate(((a, b), (a, b2), (a2, b), (a2, b2)))
+        pair_counts_blocked(model, settings[e], settings[p], n, seed, stream_offset=j)
+        for j, (e, p, _sign) in enumerate(CHSH_TERMS)
     )
+
+
+# The switch protocol's one axis, kept so that its spin operator and
+# eigenbasis are built once per process.
+_SWITCH_AXIS = AnalyzerSetting.from_degrees(0.0, 0.0)
 
 
 def _switch_electron_up(model: PairModel, mode: str) -> float:
@@ -367,8 +377,9 @@ def _switch_electron_up(model: PairModel, mode: str) -> float:
     every time for the entangled source, half the time for the
     preassigned one. mechanistic mode simulates the device: it measures
     the positron along z, flips up to down before detection, and only
-    then is the electron measured along z. Either way the positron is
-    detected down every time.
+    then is the electron measured along z, which gives the electron
+    marginal of the z-z joint law. Either way the positron is detected
+    down every time.
     """
     if isinstance(model, PreassignedDefinite):
         # Either mode: the electron keeps the definite value its hidden
@@ -378,14 +389,11 @@ def _switch_electron_up(model: PairModel, mode: str) -> float:
         return 1.0
     # Mechanistic: the positron, measured first along z, collapses the
     # singlet; the flip changes the detected positron value, not the
-    # collapsed state the electron is then measured on.
-    swapped = BipartiteState(singlet().amps.T.copy())
-    expansion = expand_bipartite(swapped, sigma_z())
-    # Electron up is sigma_z's +1 eigenspace, the last in ascending order.
-    return sum(
-        float(p * born_projections(sigma_z(), expansion.remote_state(k).amplitudes)[-1][1])
-        for k, p in enumerate(expansion.group_probabilities)
-    )
+    # collapsed state the electron is then measured on. Measurements on
+    # the two particles commute, so the electron's law does not depend on
+    # which particle is measured first: it is the electron marginal of
+    # the electron-first joint law.
+    return float(joint_law(model, _SWITCH_AXIS, _SWITCH_AXIS)[:2].sum())
 
 
 def switch_protocol_blocked(

@@ -70,6 +70,22 @@ def test_chsh_entangled_hits_quantum_value():
                                        [45.0, 0.0], [135.0, 0.0]]
 
 
+def test_chsh_rows_carry_the_settings_and_signs_of_each_term():
+    doc = run_json(["chsh", "--angles", "0,90,45,135"])
+    rows = doc["results"]["correlations"]
+    terms = [
+        (row["electron_setting"], row["positron_setting"], row["sign"])
+        for row in rows
+    ]
+    assert terms == [
+        ([0.0, 0.0], [45.0, 0.0], 1.0),
+        ([0.0, 0.0], [135.0, 0.0], -1.0),
+        ([90.0, 0.0], [45.0, 0.0], 1.0),
+        ([90.0, 0.0], [135.0, 0.0], 1.0),
+    ]
+    assert doc["results"]["s"] == sum(row["sign"] * row["value"] for row in rows)
+
+
 def test_chsh_preassigned_respects_classical_bound():
     doc = run_json(
         ["chsh", "--model", "p2", "--samples", "20000", "--seed", "8",
@@ -583,6 +599,23 @@ PAYLOAD_ARGV = (
         ["commutator-check", "--points", "1025"],
     ]
 )
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_adds_the_config_echo_to_every_document(command, tmp_path):
+    path = tmp_path / "document.json"
+    argv = [command, "--workers", "3", "--output", str(path)]
+    assert run_cli(argv) == (0, "")
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"config", "results", "statistics"}
+    settings = resolve_settings(build_parser().parse_args(argv))
+    config = {
+        key: value
+        for key, value in settings.items()
+        if key not in ("format", "output", "workers")
+    }
+    assert_plain(config, "config")
+    assert doc["config"] == config
 
 
 @pytest.mark.parametrize("argv", PAYLOAD_ARGV, ids=" ".join)

@@ -6,6 +6,7 @@ values are checked against closed forms computed independently of the
 quadrature.
 """
 
+import inspect
 import math
 import subprocess
 import sys
@@ -240,28 +241,28 @@ def test_orthonormality_table_is_per_pair_overlap_bit_for_bit():
 
 def test_orthonormality_table_sums_each_angular_key_once(monkeypatch):
     made = []
+    original = hydrogen._overlap_quadrature
 
-    class Recorded(hydrogen._OverlapQuadrature):
-        def __init__(self):
-            super().__init__()
-            self.harmonic_reads = 0
-            made.append(self)
+    def recorded():
+        made.append(original())
+        return made[-1]
 
-        def _harmonic_samples(self, l, m):
-            self.harmonic_reads += 1
-            return super()._harmonic_samples(l, m)
-
-    monkeypatch.setattr(hydrogen, "_OverlapQuadrature", Recorded)
+    monkeypatch.setattr(hydrogen, "_overlap_quadrature", recorded)
     table = orthonormality_table(4)
-    (quadrature,) = made
+    (overlap,) = made
+    angular_sum = inspect.getclosurevars(overlap).nonlocals["angular_sum"]
+    harmonic = inspect.getclosurevars(angular_sum.__wrapped__).nonlocals["harmonic"]
     # 465 pairs read 172 ordered (l1, m1, l2, m2) keys. A key and its
     # reverse are summed apart: conj(Y1) Y2 and conj(Y2) Y1 round apart,
     # and each entry must equal orbital_overlap(o1, o2) bit for bit.
     keys = {(o1.l, o1.m, o2.l, o2.m) for o1, o2, _value in table}
+    assert len(table) == 465
     assert len(keys) == 172
-    assert set(quadrature._angular_sums) == keys
+    sums = angular_sum.cache_info()
+    assert (sums.misses, sums.hits, sums.currsize) == (172, 465 - 172, 172)
     # Each sum reads its two harmonics once, when it is computed.
-    assert quadrature.harmonic_reads == 2 * 172
+    harmonics = harmonic.cache_info()
+    assert harmonics.hits + harmonics.misses == 2 * 172
 
 
 def test_orthonormality_table_samples_each_orbital_once(count_calls):

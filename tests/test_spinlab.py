@@ -10,11 +10,14 @@ average; the probabilistic rule gives E = -az bz.
 import numpy as np
 import pytest
 
-from eprlab.measurement import measure_subsystem
+from eprlab.measurement import expand_bipartite, measure_subsystem
 from eprlab.qcore import (
+    BipartiteState,
     LinearOperator,
     StateVector,
+    born_projections,
     expectation,
+    sigma_z,
     states_equal_up_to_phase,
 )
 from eprlab import spinlab
@@ -404,6 +407,25 @@ def test_switch_mechanistic_preassigned():
 def test_switch_mechanistic_entangled_probability_is_half():
     p = _switch_electron_up(QuantumEntangled(), "mechanistic")
     assert p == pytest.approx(0.5, abs=1e-12)
+
+
+def positron_first_electron_up():
+    """The device's own order: the positron, the first factor of the
+    transposed singlet, is expanded along z first, then electron up is
+    the Born weight of sigma_z's +1 eigenspace, the last in ascending
+    order, on each remote state the collapse leaves."""
+    swapped = BipartiteState(singlet().amps.T.copy())
+    expansion = expand_bipartite(swapped, sigma_z())
+    return sum(
+        float(p * born_projections(sigma_z(), expansion.remote_state(k).amplitudes)[-1][1])
+        for k, p in enumerate(expansion.group_probabilities)
+    )
+
+
+def test_switch_mechanistic_electron_marginal_is_the_positron_first_route():
+    # The electron marginal of the electron-first law, bit for bit.
+    oracle = positron_first_electron_up()
+    assert _switch_electron_up(QuantumEntangled(), "mechanistic") == oracle
 
 
 def test_switch_rejects_unknown_mode():
