@@ -365,11 +365,6 @@ def chsh_blocked(
     )
 
 
-# The switch protocol's one axis, kept so that its spin operator and
-# eigenbasis are built once per process.
-_SWITCH_AXIS = AnalyzerSetting.from_degrees(0.0, 0.0)
-
-
 def _switch_electron_up(model: PairModel, mode: str) -> float:
     """Probability that the switch protocol detects the electron up.
 
@@ -393,7 +388,8 @@ def _switch_electron_up(model: PairModel, mode: str) -> float:
     # the two particles commute, so the electron's law does not depend on
     # which particle is measured first: it is the electron marginal of
     # the electron-first joint law.
-    return float(joint_law(model, _SWITCH_AXIS, _SWITCH_AXIS)[:2].sum())
+    z = AnalyzerSetting.from_degrees(0.0, 0.0)
+    return float(joint_law(model, z, z)[:2].sum())
 
 
 def switch_protocol_blocked(

@@ -23,6 +23,7 @@ from eprlab.cli import (
     MAX_SAMPLES,
     build_parser,
     main,
+    render,
     resolve_settings,
     run_untangle,
 )
@@ -578,6 +579,9 @@ PAYLOAD_ARGV = (
         for rule in P2_RULES
     ]
     + [["switch", "--mode", mode] for mode in SWITCH_MODES]
+    # --angles in both of its forms.
+    + [["chsh", "--angles", "0,90,45,135"],
+       ["chsh", "--angles", "0,0,90,0,45,0,135,0"]]
     + [
         ["switch", "--mode", mode, "--model", "p2", "--p2-rule", rule]
         for mode in SWITCH_MODES
@@ -609,21 +613,27 @@ def test_main_adds_the_config_echo_to_every_document(command, tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"config", "results", "statistics"}
     settings = resolve_settings(build_parser().parse_args(argv))
-    config = {
-        key: value
-        for key, value in settings.items()
-        if key not in ("format", "output", "workers")
-    }
-    assert_plain(config, "config")
-    assert doc["config"] == config
+    presentation = {"format": "json", "output": str(path), "workers": 3}
+    assert not presentation.keys() & doc["config"].keys()
+    assert {**doc["config"], **presentation} == settings
 
 
 @pytest.mark.parametrize("argv", PAYLOAD_ARGV, ids=" ".join)
-def test_payloads_hold_plain_values_only(argv):
-    # render writes payloads as they are: an np.float64 or a tuple here
-    # would reach a document.
-    settings = resolve_settings(build_parser().parse_args(argv))
-    assert_plain(COMMANDS[argv[0]].handler(settings), argv[0])
+def test_payloads_hold_plain_values_only(argv, monkeypatch):
+    # render writes documents as they are: an np.float64 or a tuple here,
+    # in the config echo that main adds or in a handler's sections, would
+    # reach a document.
+    rendered = []
+
+    def capture(payload, fmt):
+        rendered.append(payload)
+        return render(payload, fmt)
+
+    monkeypatch.setattr("eprlab.cli.render", capture)
+    assert run_cli(argv)[0] == 0
+    (doc,) = rendered
+    assert set(doc) == {"config", "results", "statistics"}
+    assert_plain(doc, argv[0])
 
 
 # One non-default value per option; --angles in both of its forms.
