@@ -6,6 +6,8 @@ formulas stay readable and unit-carrying results (momenta in hbar/a_B,
 lengths in a_B) remain recognizable.
 """
 
+__all__ = ["HBAR", "ELECTRON_MASS", "BOHR_RADIUS"]
+
 HBAR = 1.0
 ELECTRON_MASS = 1.0
 BOHR_RADIUS = 1.0

@@ -36,7 +36,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "BipartiteState",
     "ExpansionResult",
     "SubsystemMeasurement",
     "SimultaneityReport",
@@ -76,8 +75,6 @@ class ExpansionResult:
     groups: tuple[EigenGroup, ...]
     coefficients: tuple[np.ndarray, ...]
     group_probabilities: np.ndarray
-    labels_i: tuple[str, ...] = ()
-    labels_ii: tuple[str, ...] = ()
 
     @property
     def n_outcomes(self) -> int:
@@ -116,9 +113,7 @@ class ExpansionResult:
         if found is None:
             remote = self._remote_state(outcome)
             collapsed = BipartiteState(
-                self.groups[outcome].basis @ self.coefficients[outcome],
-                self.labels_i,
-                self.labels_ii,
+                self.groups[outcome].basis @ self.coefficients[outcome]
             )
             found = SubsystemMeasurement(
                 float(self.group_eigenvalues[outcome]), collapsed, remote
@@ -194,8 +189,6 @@ def expand_bipartite(psi: BipartiteState, a: LinearOperator) -> ExpansionResult:
         groups=tuple(eigengroups(a)),
         coefficients=blocks,
         group_probabilities=group_probabilities,
-        labels_i=psi.labels_i,
-        labels_ii=psi.labels_ii,
     )
     # One slot, not a map: a shared state such as the singlet meets a
     # new operator for every analyzer setting.

@@ -15,7 +15,7 @@ threads racing to fill a cache at worst compute the same value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
@@ -52,39 +52,35 @@ HERMITIAN_ATOL = 1e-12
 DEGENERACY_RTOL = 1e-9
 
 
-def _default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(dim))
+def _unit_amplitudes(values, ndim: int, what: str) -> np.ndarray:
+    """values as a read-only complex array with ndim non-empty axes,
+    divided by its norm. Non-finite or all-zero values are rejected."""
+    amps = np.array(values, dtype=complex)
+    if amps.ndim != ndim or 0 in amps.shape:
+        raise ValueError(f"{what} amplitudes must be a non-empty {ndim}D array")
+    if not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("amplitudes must be finite")
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise ValueError(f"cannot normalize a zero {what}")
+    amps = amps / norm
+    amps.setflags(write=False)
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitude vector over a finite labeled basis.
+    """Normalized complex amplitude vector over a finite basis.
 
     Amplitudes are renormalized on construction, so the sum of squared
     magnitudes is 1 to machine precision. A zero vector is rejected.
     """
 
     amplitudes: np.ndarray
-    basis_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError("amplitudes must be a non-empty 1D vector")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero state vector")
-        amps = amps / norm
-        amps.setflags(write=False)
-        labels = self.basis_labels or _default_labels(amps.size)
-        if len(labels) != amps.size:
-            raise ValueError(
-                f"{len(labels)} basis labels for {amps.size} amplitudes"
-            )
+        amps = _unit_amplitudes(self.amplitudes, 1, "state vector")
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "basis_labels", tuple(labels))
 
     @property
     def dim(self) -> int:
@@ -166,27 +162,10 @@ class BipartiteState:
     """
 
     amps: np.ndarray
-    labels_i: tuple[str, ...] = field(default=())
-    labels_ii: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amps, dtype=complex)
-        if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] < 1:
-            raise ValueError("amps must be a non-empty 2D matrix")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero bipartite state")
-        amps = amps / norm
-        amps.setflags(write=False)
-        labels_i = self.labels_i or _default_labels(amps.shape[0])
-        labels_ii = self.labels_ii or _default_labels(amps.shape[1])
-        if len(labels_i) != amps.shape[0] or len(labels_ii) != amps.shape[1]:
-            raise ValueError("label counts must match the amplitude matrix shape")
+        amps = _unit_amplitudes(self.amps, 2, "bipartite state")
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels_i", tuple(labels_i))
-        object.__setattr__(self, "labels_ii", tuple(labels_ii))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -194,10 +173,7 @@ class BipartiteState:
 
     def flatten(self) -> StateVector:
         """Joint state as a single vector over the product basis."""
-        labels = tuple(
-            f"{li},{lj}" for li in self.labels_i for lj in self.labels_ii
-        )
-        return StateVector(self.amps.reshape(-1), labels)
+        return StateVector(self.amps.reshape(-1))
 
     def schmidt_coefficients(self) -> np.ndarray:
         """Singular values of the amplitude matrix, descending.
@@ -341,7 +317,7 @@ def measure_observable(
     k = born_draw(cdf, rng)
     if records[k] is None:
         group = op._eigengroups[k]
-        post = StateVector(group.basis @ coords[k], s.basis_labels)
+        post = StateVector(group.basis @ coords[k])
         records[k] = MeasurementRecord(group.value, float(probs[k]), post)
     return records[k]
 
@@ -358,16 +334,12 @@ def evolve(h: LinearOperator, t: float, s: StateVector) -> StateVector:
     values, vectors = h._spectrum
     phases = np.exp(-1j * values * t / HBAR)
     evolved = vectors @ (phases * (vectors.conj().T @ s.amplitudes))
-    return StateVector(evolved, s.basis_labels)
+    return StateVector(evolved)
 
 
 def tensor_product(s_i: StateVector, s_ii: StateVector) -> BipartiteState:
     """Product state of two subsystems as a bipartite amplitude matrix."""
-    return BipartiteState(
-        np.outer(s_i.amplitudes, s_ii.amplitudes),
-        s_i.basis_labels,
-        s_ii.basis_labels,
-    )
+    return BipartiteState(np.outer(s_i.amplitudes, s_ii.amplitudes))
 
 
 def states_equal_up_to_phase(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["make_stream"]
+
 
 def make_stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the PCG64 generator for a (seed, stream index) pair.

@@ -243,7 +243,7 @@ def singlet() -> BipartiteState:
     """The two-spin singlet (up down - down up) / sqrt(2), one shared
     instance built on first use."""
     amps = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
-    return BipartiteState(amps, ("up", "down"), ("up", "down"))
+    return BipartiteState(amps)
 
 
 def spin_operator(setting: AnalyzerSetting) -> LinearOperator:
@@ -422,7 +422,7 @@ def switch_protocol_blocked(
 
 def untangle_branches(psi: BipartiteState) -> tuple[BipartiteState, ...]:
     """The two product states untangle maps the singlet to, up-down and
-    down-up, over the input's bases.
+    down-up.
 
     Any global phase on the input is ignored; anything that is not the
     singlet is rejected.
@@ -434,7 +434,7 @@ def untangle_branches(psi: BipartiteState) -> tuple[BipartiteState, ...]:
     if 1.0 - abs(overlap) > 1e-9:
         raise ValueError("untangle is defined only for the singlet state")
     return tuple(
-        BipartiteState(np.array(amps), psi.labels_i, psi.labels_ii)
+        BipartiteState(amps)
         for amps in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]])
     )
 

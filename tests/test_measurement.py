@@ -24,11 +24,7 @@ from eprlab.qcore import (
     tensor_product,
 )
 
-SINGLET = BipartiteState(
-    np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0),
-    ("up", "down"),
-    ("up", "down"),
-)
+SINGLET = BipartiteState(np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0))
 
 
 def random_bipartite(rng, di, dii):
@@ -296,7 +292,6 @@ def test_expansion_and_collapse_are_memoized_and_read_only():
         assert expansion.measurement(k) is shot
         assert expansion.remote_state(k) is shot.remote
         assert not shot.collapsed.amps.flags.writeable
-        assert shot.collapsed.labels_i == psi.labels_i
     assert len(expansion._measurements) == expansion.n_outcomes
 
 

@@ -63,12 +63,59 @@ def central_difference_momentum(x):
 def test_state_vector_normalizes():
     s = StateVector(np.array([3.0, 4.0]))
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) <= 1e-12
-    assert s.basis_labels == ("0", "1")
 
 
 def test_state_vector_rejects_zero():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3))
+
+
+# Each state type with its amplitude field and a valid shape.
+STATE_TYPES = [
+    pytest.param(StateVector, "amplitudes", (3,), id="StateVector"),
+    pytest.param(BipartiteState, "amps", (2, 3), id="BipartiteState"),
+]
+
+
+def _with_entry(shape, value):
+    amps = np.ones(shape, dtype=complex)
+    amps.flat[1] = value
+    return amps
+
+
+# Each defect with the part of the message that names it.
+INVALID_AMPLITUDES = {
+    "ndim-low": (lambda shape: np.ones(shape[:-1]), "non-empty"),
+    "ndim-high": (lambda shape: np.ones(shape + (2,)), "non-empty"),
+    "empty-first-axis": (lambda shape: np.ones((0,) + shape[1:]), "non-empty"),
+    "empty-last-axis": (lambda shape: np.ones(shape[:-1] + (0,)), "non-empty"),
+    "nan": (lambda shape: _with_entry(shape, np.nan), "finite"),
+    "nan-imaginary": (lambda shape: _with_entry(shape, complex(1.0, np.nan)), "finite"),
+    "inf": (lambda shape: _with_entry(shape, np.inf), "finite"),
+    "minus-inf": (lambda shape: _with_entry(shape, -np.inf), "finite"),
+    "all-zero": (lambda shape: np.zeros(shape), "zero"),
+}
+
+
+@pytest.mark.parametrize("defect", INVALID_AMPLITUDES)
+@pytest.mark.parametrize(("state_type", "field", "shape"), STATE_TYPES)
+def test_states_reject_invalid_amplitudes(state_type, field, shape, defect):
+    build, message = INVALID_AMPLITUDES[defect]
+    with pytest.raises(ValueError, match=message):
+        state_type(build(shape))
+
+
+@pytest.mark.parametrize(("state_type", "field", "shape"), STATE_TYPES)
+def test_states_store_read_only_unit_amplitudes(state_type, field, shape):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps = getattr(state_type(raw), field)
+        oracle = np.array(raw, complex) / np.linalg.norm(np.array(raw, complex))
+        assert amps.dtype == complex and amps.shape == shape
+        assert amps.tobytes() == oracle.tobytes()
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+        assert not amps.flags.writeable
 
 
 def test_hermitian_flag_validated():
@@ -299,14 +346,6 @@ def test_tensor_product_basis_states():
     oracle[0, 1] = 1.0
     np.testing.assert_allclose(joint.amps, oracle, atol=1e-15)
     assert abs(np.linalg.norm(joint.amps) - 1.0) <= 1e-12
-
-
-def test_tensor_product_labels():
-    a = StateVector(np.array([1.0, 0.0]), ("u", "d"))
-    b = StateVector(np.array([0.0, 1.0]), ("u", "d"))
-    joint = tensor_product(a, b)
-    assert joint.labels_i == ("u", "d")
-    assert joint.flatten().basis_labels == ("u,u", "u,d", "d,u", "d,d")
 
 
 def test_bipartite_schmidt_rank_one_for_products():
