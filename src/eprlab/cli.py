@@ -151,9 +151,9 @@ MAX_SAMPLES = 2**36
 SAMPLES = Option("--samples", _int_in_range(1, MAX_SAMPLES), 100_000,
                  "number of pairs to sample")
 
-# epr holds one real points^2 state and its points x (points//2 + 1)
-# complex half spectrum, and no grid-sized temporary (a peak of about
-# 67 MB at its cap).
+# epr holds its state as two factors of 2 points - 1 samples, one block
+# of rows at a time, and its points x (points//2 + 1) complex half
+# spectrum: no other grid-sized array (a peak of about 34 MB at its cap).
 # commutator-check holds a few arrays of 2 points samples (about 240 MB
 # in all at its cap); hydrogen holds a few radial arrays of 8 MB each at
 # its cap.

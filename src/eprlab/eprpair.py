@@ -16,16 +16,19 @@ G(p) = (2 pi)^{-1} integral of f(x) exp(-i p . x) d^2x, discretized on
 the centered grid so that discrete Parseval holds exactly:
 sum |G|^2 dp^2 = sum |f|^2 dx^2.
 
-Real state, half spectrum: the pair is a product f(x_I - x_II) g(x_I + x_II)
-of two real Gaussians, and on the uniform grid each factor takes only
-2 points - 1 values, so the state is built from those values and kept
-real (float64). The transform of a real function obeys
-G(-p) = conj(G(p)), so only its half spectrum, points x (points//2 + 1),
-is computed (a real rfft along each row, then an fft down each column
-in place) and kept; a momentum row is restored from it when it is read.
-The real position samples are the one points x points array an epr
-document holds; the full complex momentum grid is
-built only when momentum_representation asks for it.
+Factored state, half spectrum: the pair is a product
+f(x_I - x_II) g(x_I + x_II) of two real Gaussians, and on the uniform
+grid each factor takes only 2 points - 1 values. The state is held as
+those two factors and its norm; its real (float64) samples are formed a
+block of ROW_BLOCK rows at a time, where they are read. The transform of
+a real function obeys G(-p) = conj(G(p)), so only its half spectrum,
+points x (points//2 + 1), is computed (a real rfft of each row block
+written into it, then an fft down each column in place) and kept; a
+momentum row is restored from it when it is read. The half spectrum is
+the one grid-sized array an epr document holds: the points x points
+position grid is built only when a caller reads the state's values, and
+the full complex momentum grid only when momentum_representation asks
+for it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ __all__ = [
 ]
 
 NORM_ATOL = 1e-10
+# Rows per block wherever samples are read a block at a time. At the
+# 2048-point cap a block of real rows is 512 KiB, and the epr document's
+# time is flat from 16 to 128 rows per block (Intel Xeon, 2 CPUs).
+ROW_BLOCK = 32
+
+
+def _row_blocks(points: int):
+    """Consecutive slices of ROW_BLOCK rows that cover range(points)."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, points, ROW_BLOCK))
 
 
 def _squared_sum(values: np.ndarray) -> float:
@@ -63,10 +75,24 @@ def _squared_sum(values: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", f, f))
 
 
-def _l2_norm(values: np.ndarray, grid: UniformGrid2D) -> float:
-    """Discrete L2 norm; each point weighs the cell area h^2. One pass
-    over 2D samples with a unit-stride last axis."""
-    return float(np.sqrt(_squared_sum(values) * grid.spacing**2))
+def _l2_norm(rows, grid: UniformGrid2D) -> float:
+    """Discrete L2 norm of the samples rows(block) returns for each row
+    block; each point weighs the cell area h^2. One pass, a block at a
+    time; the block sums are added one by one, in a fixed order (not by
+    sum(), which compensates from Python 3.12 on)."""
+    total = 0.0
+    for block in _row_blocks(grid.points):
+        total += _squared_sum(rows(block))
+    return float(np.sqrt(total * grid.spacing**2))
+
+
+def _divisor(norm: float) -> float:
+    """norm, once checked to be one that samples can be divided by."""
+    if norm == 0.0:
+        raise ValueError("cannot normalize an identically zero grid function")
+    if not np.isfinite(norm):
+        raise ValueError(f"cannot normalize a grid function of norm {norm!r}")
+    return norm
 
 
 def _owned_copy(values) -> np.ndarray:
@@ -76,13 +102,17 @@ def _owned_copy(values) -> np.ndarray:
     return np.array(values, dtype=dtype, order="C")
 
 
-def _check_samples(values: np.ndarray, grid) -> None:
-    """Raise ValueError unless grid is a UniformGrid2D and values has
-    its (points, points) shape."""
+def _check_grid(grid) -> None:
     if not isinstance(grid, UniformGrid2D):
         raise ValueError(
             f"grid function requires a UniformGrid2D, got {type(grid).__name__}"
         )
+
+
+def _check_samples(values: np.ndarray, grid) -> None:
+    """Raise ValueError unless grid is a UniformGrid2D and values has
+    its (points, points) shape."""
+    _check_grid(grid)
     expected = (grid.points, grid.points)
     if values.shape != expected:
         raise ValueError(
@@ -109,6 +139,11 @@ class GridFunction:
     representation, are restored from the half spectrum. Only real
     samples have a momentum transform here: for complex ones it raises
     ValueError.
+
+    The norm, the half spectrum's row transform and condition_on_position
+    read the samples through _rows, a block of rows at a time: a view of
+    values here, a product of factors for the pair build_epr_state
+    returns, whose values are built only when read.
     """
 
     values: np.ndarray
@@ -155,17 +190,16 @@ class GridFunction:
         checked before the norm pass.
         """
         _check_samples(values, grid)
-        norm = _l2_norm(values, grid)
-        if norm == 0.0:
-            raise ValueError("cannot normalize an identically zero grid function")
-        if not np.isfinite(norm):
-            raise ValueError(f"cannot normalize a grid function of norm {norm!r}")
-        values /= norm
+        values /= _divisor(_l2_norm(values.__getitem__, grid))
         return cls._adopt(values, grid)
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        """The samples of a slice of rows."""
+        return self.values[rows]
 
     @cached_property
     def norm(self) -> float:
-        return _l2_norm(self.values, self.grid)
+        return _l2_norm(self._rows, self.grid)
 
     @property
     def _momentum_grid(self) -> UniformGrid2D:
@@ -178,13 +212,18 @@ class GridFunction:
     def _half_spectrum(self) -> np.ndarray:
         """The samples' 2D transform times h^2 / 2 pi, computed once:
         columns k2 = 0 .. points//2 in FFT order, before the phase and the
-        shift. A row rfft, then a column fft written over its own input:
-        the two 1D transforms of np.fft.rfft2, in one buffer."""
-        if np.iscomplexobj(self.values):
+        shift. A row rfft of each row block written into its rows, then a
+        column fft written over its own input: the two 1D transforms of
+        np.fft.rfft2, in one buffer."""
+        if np.iscomplexobj(self._rows(slice(0, 0))):
             raise ValueError(
                 "the momentum transform needs real position samples, got complex"
             )
-        half = np.fft.rfft(self.values, axis=1)
+        n = self.grid.points
+        half = np.empty((n, n // 2 + 1), dtype=complex)
+        # Each block is dropped as soon as it is transformed.
+        for rows in _row_blocks(n):
+            np.fft.rfft(self._rows(rows), axis=1, out=half[rows])
         np.fft.fft(half, axis=0, out=half)
         half *= self.grid.spacing**2 / (2.0 * np.pi)
         half.setflags(write=False)
@@ -231,6 +270,45 @@ class GridFunction:
         """What momentum_representation returns, expanded once."""
         rows = self._momentum_rows(np.arange(self.grid.points))
         return GridFunction._adopt(rows, self._momentum_grid)
+
+
+class _FactoredPair(GridFunction):
+    """The pair state held as its two factors: sample [i, j] is
+    toeplitz[i, j] * hankel[i, j] / raw_norm, formed a block of rows
+    at a time where it is read. values is built, read-only, on first
+    read and kept."""
+
+    def __init__(self, relative: np.ndarray, center: np.ndarray, grid: UniformGrid2D):
+        # relative[k] at i - j = n - 1 - k, center[k] at i + j = k.
+        _check_grid(grid)
+        n = grid.points
+        windows = np.lib.stride_tricks.sliding_window_view
+        # windows(v, n)[i, j] = v[i + j], with a unit stride along each
+        # row; with its rows reversed, windows(relative, n) reads
+        # relative[n - 1 - i + j].
+        for name, value in (
+            ("grid", grid),
+            ("relative", relative),
+            ("center", center),
+            ("toeplitz", windows(relative, n)[::-1]),
+            ("hankel", windows(center, n)),
+        ):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "raw_norm", _divisor(_l2_norm(self._raw_rows, grid)))
+
+    def _raw_rows(self, rows: slice) -> np.ndarray:
+        return self.toeplitz[rows] * self.hankel[rows]
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        block = self._raw_rows(rows)
+        block /= self.raw_norm
+        return block
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = self._rows(slice(None))
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,26 +396,22 @@ def build_epr_state(cfg: EprConfig) -> GridFunction:
     width Lambda.
 
     With x_i = (i - n//2) h, x_I - x_II depends on i - j and x_I + x_II
-    on i + j, so each factor is evaluated at its 2n - 1 values and the
-    real n x n state is one product of a Toeplitz and a Hankel view of
-    them.
+    on i + j, so each factor is evaluated at its 2n - 1 values. The
+    state keeps those two arrays, a Toeplitz and a Hankel view of them
+    and the norm of their product, found in one pass over blocks of
+    rows; no n x n array is formed. Each row is the product of the two
+    views' rows divided by that norm, formed where it is read.
     """
     n = cfg.grid.points
     h = cfg.grid.spacing
     steps = np.arange(2 * n - 1)
-    # relative[k] at i - j = k - (n - 1); center[k] at i + j = k.
     relative = np.exp(
-        -(((steps - (n - 1)) * h + cfg.x0) ** 2) / (4.0 * cfg.sigma**2)
+        -((((n - 1) - steps) * h + cfg.x0) ** 2) / (4.0 * cfg.sigma**2)
     )
     center = np.exp(
         -(((steps - 2 * (n // 2)) * h / 2.0) ** 2) / (4.0 * cfg.envelope_width**2)
     )
-    windows = np.lib.stride_tricks.sliding_window_view
-    # windows(v, n)[i, j] = v[i + j]. Over the reversed copy r of
-    # relative, with its rows reversed, it reads r[n - 1 - i + j] =
-    # relative[i - j + n - 1], with a unit stride along each row.
-    raw = windows(relative[::-1].copy(), n)[::-1] * windows(center, n)
-    return GridFunction._normalize_owned(raw, cfg.grid)
+    return _FactoredPair(relative, center, cfg.grid)
 
 
 def momentum_representation(psi: GridFunction) -> GridFunction:
@@ -375,7 +449,7 @@ def condition_on_position(psi: GridFunction, x: float) -> Distribution1D:
     coords = psi.grid.coordinates
     return Distribution1D(
         coordinates=coords,
-        probabilities=np.abs(psi.values[i, :]) ** 2,
+        probabilities=np.abs(psi._rows(slice(i, i + 1))[0]) ** 2,
         sliced_at=float(coords[i]),
     )
 

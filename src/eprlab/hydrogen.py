@@ -313,11 +313,11 @@ def _overlap_grid(n_max: int) -> RadialGrid:
 def _overlap_quadrature():
     """Overlap integrals on the angular rule, as one overlap(o1, o2).
 
-    Each orbital's radial samples are computed once per radial grid,
-    each radial integral once per (n, l) pair and grid, each Y_lm once
-    and each angular sum once per ordered (l1, m1, l2, m2) key, however
-    many pairs read them; the caches live as long as the returned
-    function.
+    Each orbital's radial samples and the squared radii are computed
+    once per radial grid, each radial integral once per (n, l) pair and
+    grid, each Y_lm once and each angular sum once per ordered
+    (l1, m1, l2, m2) key, however many pairs read them; the caches live
+    as long as the returned function.
     """
     theta, w_theta, phi, w_phi = _angular_quadrature()
 
@@ -326,9 +326,15 @@ def _overlap_quadrature():
         return radial_wavefunction(n, l, grid.radii)
 
     @cache
+    def squared_radii(grid: RadialGrid) -> np.ndarray:
+        return grid.radii**2
+
+    @cache
     def radial_integral(grid: RadialGrid, n1: int, l1: int, n2: int, l2: int) -> float:
         return _simpson(
-            radial_samples(grid, n1, l1) * radial_samples(grid, n2, l2) * grid.radii**2,
+            radial_samples(grid, n1, l1)
+            * radial_samples(grid, n2, l2)
+            * squared_radii(grid),
             grid.spacing,
         )
 

@@ -283,13 +283,25 @@ def fft_route(monkeypatch):
 
 
 def assert_one_row_then_column_transform(calls):
-    """One rfft along the rows, then one fft down the columns written
-    over the rfft's output; no 2D transform."""
-    assert [name for name, _args, _kwargs in calls] == ["rfft", "fft"]
-    (_, _, rfft_kwargs), (_, (half,), fft_kwargs) = calls
-    assert rfft_kwargs == {"axis": 1}
+    """rffts along the rows, each written into the next rows of one
+    array so that together they cover each of its rows once, then one
+    fft down the columns written over that array; no 2D transform."""
+    names = [name for name, _args, _kwargs in calls]
+    assert names == ["rfft"] * (len(names) - 1) + ["fft"]
+    *row_calls, (_, (half,), fft_kwargs) = calls
+    assert fft_kwargs.keys() == {"axis", "out"}
     assert fft_kwargs["axis"] == 0
     assert fft_kwargs["out"] is half
+    covered = 0
+    for _, (block,), kwargs in row_calls:
+        assert kwargs.keys() == {"axis", "out"}
+        assert kwargs["axis"] == 1
+        out = kwargs["out"]
+        assert out.base is half
+        assert out.ctypes.data == half.ctypes.data + covered * half.strides[0]
+        assert out.shape == (len(block), half.shape[1])
+        covered += len(block)
+    assert covered == len(half)
 
 
 def test_epr_document_runs_one_fft(fft_route):
@@ -308,6 +320,8 @@ def test_half_spectrum_is_bitwise_rfft2(points):
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_state_is_bitwise_out_of_place_normalization(points):
+    # The factors' product divided, out of place, by the raw norm the
+    # state keeps; that norm is checked against an exactly rounded sum.
     cfg = EprConfig(grid=UniformGrid2D(10.0, points))
     n, h = points, cfg.grid.spacing
     steps = np.arange(2 * n - 1)
@@ -317,8 +331,23 @@ def test_state_is_bitwise_out_of_place_normalization(points):
     )
     windows = np.lib.stride_tricks.sliding_window_view
     raw = windows(relative, n)[:, ::-1] * windows(center, n)
-    expected = raw / eprpair._l2_norm(raw, cfg.grid)
-    assert np.array_equal(build_epr_state(cfg).values.view(float), expected.view(float))
+    psi = build_epr_state(cfg)
+    s = psi.raw_norm
+    assert np.array_equal(psi.values.view(float), (raw / s).view(float))
+    exact = math.sqrt(math.fsum((raw.ravel() ** 2).tolist()) * h**2)
+    assert s == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("points", [64, 100, 1000])
+def test_position_rows_are_bitwise_state_rows_without_the_grid(points):
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
+    coords = psi.grid.coordinates
+    dists = [condition_on_position(psi, x) for x in (-3.0, 0.0, 0.5, 4.8)]
+    assert "values" not in vars(psi)
+    for dist in dists:
+        i = int(np.flatnonzero(coords == dist.sliced_at)[0])
+        oracle = Distribution1D(coords, np.abs(psi.values[i]) ** 2)
+        assert np.array_equal(dist.probabilities, oracle.probabilities)
 
 
 def squared_sum(values):
@@ -352,10 +381,9 @@ def test_both_norms_match_an_exactly_rounded_sum(points):
 
 
 def test_building_the_state_holds_no_grid_sized_temporary():
-    # The real state is half of n^2 * 16 B; the factors' 2n - 1 samples
-    # and numpy's fixed-size buffers come on top. A second real grid
-    # beside the state, such as an out-of-place normalization or a
-    # squared-magnitude array, would double the peak.
+    # The state is its factors' 2n - 1 samples each and one block of
+    # rows at a time, plus numpy's fixed-size buffers: no term grows
+    # as n^2. A real n x n grid would be half of n^2 * 16 B.
     n = 1024
     cfg = EprConfig(grid=UniformGrid2D(10.0, n))
     build_epr_state(EprConfig(grid=UniformGrid2D(10.0, 64)))
@@ -365,14 +393,14 @@ def test_building_the_state_holds_no_grid_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * n * n * 16 + 64 * n * 8 + 2**17
+    assert peak <= 64 * n * 8 + 2**17
 
 
-def test_epr_document_peak_memory_stays_below_1_125_complex_grids():
-    # The real state and its half spectrum: about n^2 complex samples
-    # at the peak. A real half-grid temporary beside them, such as a
-    # squared-magnitude array, would add a quarter of n^2 * 16 B.
-    n = 512
+@pytest.mark.parametrize("n", [512, 2048])
+def test_epr_document_peak_memory_stays_below_half_a_complex_grid_and_a_block(n):
+    # The half spectrum, about half of n^2 complex samples, and one block
+    # of rows beside it at the peak. The real n x n state, or any real
+    # grid-sized temporary, would add half of n^2 * 16 B.
     settings = cli.resolve_settings(
         cli.build_parser().parse_args(["epr", "--points", str(n)])
     )
@@ -382,7 +410,7 @@ def test_epr_document_peak_memory_stays_below_1_125_complex_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.125 * n * n * 16
+    assert peak <= 0.5 * n * n * 16 + 64 * n * 8 + 2**17
 
 
 def test_momentum_representation_is_computed_once_and_read_only(fft_route):
