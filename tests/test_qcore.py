@@ -65,6 +65,11 @@ def test_state_vector_normalizes():
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) <= 1e-12
 
 
+def test_state_vector_rejects_zero():
+    with pytest.raises(ValueError):
+        StateVector(np.zeros(3))
+
+
 # Each state type with its amplitude field and a valid shape.
 STATE_TYPES = [
     pytest.param(StateVector, "amplitudes", (3,), id="StateVector"),
