@@ -151,9 +151,10 @@ MAX_SAMPLES = 2**36
 SAMPLES = Option("--samples", _int_in_range(1, MAX_SAMPLES), 100_000,
                  "number of pairs to sample")
 
-# epr holds its state as two factors of 2 points - 1 samples, one block
-# of rows at a time, and its points x (points//2 + 1) complex half
-# spectrum: no other grid-sized array (a peak of about 34 MB at its cap).
+# epr holds its state as two factors of 2 points - 1 samples and reads
+# it one block of rows at a time, its row transform in one reused buffer
+# of eprpair.ROW_BLOCK x (points//2 + 1) complex samples: no grid-sized
+# array (a peak of about 2 MB at its cap).
 # commutator-check holds a few arrays of 2 points samples (about 240 MB
 # in all at its cap); hydrogen holds a few radial arrays of 8 MB each at
 # its cap.
@@ -260,7 +261,7 @@ def run_epr(settings: dict) -> dict:
     psi = eprpair.build_epr_state(cfg)
     position = eprpair.condition_on_position(psi, settings["position"])
     momentum = eprpair.condition_on_momentum(psi, settings["momentum"])
-    # From the half spectrum condition_on_momentum computed, kept on psi.
+    # Found by the pass condition_on_momentum ran, kept on psi.
     parseval_error = abs(psi.momentum_norm - 1.0)
 
     expected_x = position.sliced_at + cfg.x0

@@ -16,19 +16,19 @@ G(p) = (2 pi)^{-1} integral of f(x) exp(-i p . x) d^2x, discretized on
 the centered grid so that discrete Parseval holds exactly:
 sum |G|^2 dp^2 = sum |f|^2 dx^2.
 
-Factored state, half spectrum: the pair is a product
+Factored state, one streamed pass: the pair is a product
 f(x_I - x_II) g(x_I + x_II) of two real Gaussians, and on the uniform
 grid each factor takes only 2 points - 1 values. The state is held as
 those two factors and its norm; its real (float64) samples are formed a
-block of ROW_BLOCK rows at a time, where they are read. The transform of
-a real function obeys G(-p) = conj(G(p)), so only its half spectrum,
-points x (points//2 + 1), is computed (a real rfft of each row block
-written into it, then an fft down each column in place) and kept; a
-momentum row is restored from it when it is read. The half spectrum is
-the one grid-sized array an epr document holds: the points x points
-position grid is built only when a caller reads the state's values, and
-the full complex momentum grid only when momentum_representation asks
-for it.
+block of ROW_BLOCK rows at a time, where they are read. A momentum row
+is read in one pass over those blocks: each block's row rfft goes into
+one reused buffer, and is projected onto the column DFT's twiddles for
+that row and its mirror while the squared sum gives the Parseval norm.
+The transform of a real function obeys G(-p) = conj(G(p)), so the two
+projections give the whole row. No grid-sized array is formed: the
+points x points position grid is built only when a caller reads the
+state's values, and the full complex momentum grid only when
+momentum_representation asks for it.
 """
 
 from __future__ import annotations
@@ -134,16 +134,17 @@ class GridFunction:
     observable fact instead of a silent correction.
 
     The values are read-only and belong to the instance. The norm, the
-    half spectrum of real samples and the momentum-side norm are
-    computed on first use and kept; momentum rows, and the full momentum
-    representation, are restored from the half spectrum. Only real
-    samples have a momentum transform here: for complex ones it raises
-    ValueError.
+    momentum-side norm and the full momentum representation are computed
+    on first use and kept. A momentum row is read in one streamed pass
+    of row transforms, which also finds the momentum-side norm; the full
+    representation is a plain fft2 of the values. Only real samples have
+    a momentum transform here: for complex ones it raises ValueError.
 
-    The norm, the half spectrum's row transform and condition_on_position
-    read the samples through _rows, a block of rows at a time: a view of
-    values here, a product of factors for the pair build_epr_state
-    returns, whose values are built only when read.
+    The norm, the streamed pass, condition_on_position and
+    relative_coordinate_marginal read the samples through _rows, a block
+    of rows at a time: a view of values here, a product of factors for
+    the pair build_epr_state returns, whose values are built only when
+    read.
     """
 
     values: np.ndarray
@@ -208,68 +209,98 @@ class GridFunction:
             length=2.0 * np.pi / self.grid.spacing, points=self.grid.points
         )
 
-    @cached_property
-    def _half_spectrum(self) -> np.ndarray:
-        """The samples' 2D transform times h^2 / 2 pi, computed once:
-        columns k2 = 0 .. points//2 in FFT order, before the phase and the
-        shift. A row rfft of each row block written into its rows, then a
-        column fft written over its own input: the two 1D transforms of
-        np.fft.rfft2, in one buffer."""
+    @property
+    def _phase(self) -> np.ndarray:
+        """Per-axis phase, in FFT order, that re-anchors the FFT's index
+        origin to the centered coordinate x = (i - points//2) h."""
+        n = self.grid.points
+        return np.exp(1j * self.grid.axis.momenta * (n // 2) * self.grid.spacing)
+
+    def _check_real(self) -> None:
         if np.iscomplexobj(self._rows(slice(0, 0))):
             raise ValueError(
                 "the momentum transform needs real position samples, got complex"
             )
+
+    def _momentum_pass(self, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """One streamed pass over the row blocks for the FFT-order
+        momentum row k: returns C and S, whose C + iS and C - iS are
+        rows k and -k of the samples' 2D DFT, columns k2 = 0 .. points//2,
+        and the momentum-side norm.
+
+        Each block's row rfft is written into one reused buffer of
+        ROW_BLOCK rows; its weighted squared sum and its projections on
+        the column DFT's twiddles, cos and sin of -2 pi (k i mod n) / n
+        for row i, are added up before the next block overwrites it.
+        Columns 1 .. (points+1)//2 - 1 stand for themselves and their
+        mirrors -k2, so they are counted twice. The column DFT is n times
+        a unitary map, so n times that sum, scaled, is the whole
+        spectrum's Parseval norm; it is kept as momentum_norm, the same
+        bits whatever k. einsum is left unoptimized, so no BLAS call
+        makes a result depend on the thread count.
+        """
+        self._check_real()
         n = self.grid.points
-        half = np.empty((n, n // 2 + 1), dtype=complex)
-        # Each block is dropped as soon as it is transformed.
+        m = n // 2 + 1
+        angles = (-2.0 * np.pi / n) * (k * np.arange(n) % n)
+        cos_k, sin_k = np.cos(angles), np.sin(angles)
+        buf = np.empty((ROW_BLOCK, m), dtype=complex)
+        c = np.zeros(2 * m)
+        s = np.zeros(2 * m)
+        total = 0.0
         for rows in _row_blocks(n):
-            np.fft.rfft(self._rows(rows), axis=1, out=half[rows])
-        np.fft.fft(half, axis=0, out=half)
-        half *= self.grid.spacing**2 / (2.0 * np.pi)
-        half.setflags(write=False)
-        return half
+            block = self._rows(rows)
+            out = buf[: len(block)]
+            np.fft.rfft(block, axis=1, out=out)
+            total += _squared_sum(out) + _squared_sum(out[:, 1 : (n + 1) // 2])
+            f = out.view(np.float64)
+            c += np.einsum("i,ij->j", cos_k[rows], f)
+            s += np.einsum("i,ij->j", sin_k[rows], f)
+        scale = self.grid.spacing**2 / (2.0 * np.pi)
+        norm = float(np.sqrt(n * total * scale**2 * self._momentum_grid.spacing**2))
+        vars(self)["momentum_norm"] = norm
+        return c.view(complex), s.view(complex), norm
 
     @cached_property
     def momentum_norm(self) -> float:
-        """Discrete L2 norm of the momentum representation, read from the
-        half spectrum with no temporary.
+        """Discrete L2 norm of the momentum representation: the norm the
+        last streamed pass on this state found (a pass at row 0 if no
+        conditional has run one)."""
+        return self._momentum_pass(0)[2]
 
-        Columns 1 .. stand for themselves and their mirrors -k2 and weigh
-        2; the zero column and, for an even point count, the Nyquist
-        column are their own mirrors and weigh 1. So the squared sum
-        runs once over the whole half spectrum and once more over the
-        weight-2 columns, a unit-stride view of it.
-        """
+    def _momentum_row(self, i: int) -> np.ndarray:
+        """Row i of momentum_representation(self).values, i a centered
+        row index, from one streamed pass. Parseval is checked, not
+        assumed, before the row is returned."""
         n = self.grid.points
-        half = self._half_spectrum
-        total = _squared_sum(half) + _squared_sum(half[:, 1 : (n + 1) // 2])
-        return float(np.sqrt(total * self._momentum_grid.spacing**2))
-
-    def _momentum_rows(self, rows) -> np.ndarray:
-        """Rows of momentum_representation(self).values, restored from
-        the half spectrum; rows is a centered-grid row index or an array
-        of them. Parseval is checked, not assumed, first."""
-        self._check_norm(self.momentum_norm)
-        half = self._half_spectrum
-        n = self.grid.points
-        m = half.shape[1]
-        # The FFT-order row of each centered row, as fftshift maps them.
-        k = (np.asarray(rows) - n // 2) % n
-        restored = np.empty(k.shape + (n,), dtype=complex)
-        restored[..., :m] = half[k]
+        m = n // 2 + 1
+        # The FFT-order row of centered row i, as fftshift maps them.
+        k = (i - n // 2) % n
+        c, s, norm = self._momentum_pass(k)
+        self._check_norm(norm)
+        row = np.empty(n, dtype=complex)
+        row[:m] = c + 1j * s
         # A real function's transform has G[k1, k2] = conj(G[-k1, -k2]).
-        restored[..., m:] = np.conj(half[-k % n, n - m : 0 : -1])
-        # Phase factor re-anchors the FFT's index origin to the centered
-        # coordinate x = (i - n//2) h along each axis.
-        phase = np.exp(1j * self.grid.axis.momenta * (n // 2) * self.grid.spacing)
-        restored *= phase[k][..., None] * phase
-        return np.fft.fftshift(restored, axes=-1)
+        row[m:] = np.conj((c - 1j * s)[n - m : 0 : -1])
+        phase = self._phase
+        row *= (self.grid.spacing**2 / (2.0 * np.pi)) * phase[k] * phase
+        return np.fft.fftshift(row)
 
     @cached_property
     def _momentum(self) -> GridFunction:
-        """What momentum_representation returns, expanded once."""
-        rows = self._momentum_rows(np.arange(self.grid.points))
-        return GridFunction._adopt(rows, self._momentum_grid)
+        """What momentum_representation returns, computed once: the
+        samples' fft2 times h^2 / 2 pi and the phase outer product,
+        shifted onto the centered grid. Parseval is checked, not
+        assumed."""
+        self._check_real()
+        phase = self._phase
+        transformed = np.fft.fft2(self.values)
+        transformed *= (self.grid.spacing**2 / (2.0 * np.pi) * phase)[:, None] * phase
+        momentum = GridFunction._adopt(
+            np.fft.fftshift(transformed), self._momentum_grid
+        )
+        self._check_norm(momentum.norm)
+        return momentum
 
 
 class _FactoredPair(GridFunction):
@@ -419,12 +450,12 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
 
     The momentum grid has spacing 2 pi / (n h) and follows the same
     centered convention as the position grid; discrete Parseval holds
-    exactly, so the result passes the unit-norm validation untouched.
-    psi must be real. The full complex grid is expanded from psi's kept
-    half spectrum on the first call and kept on psi: every caller
-    reads the same read-only samples. No epr document needs it;
-    condition_on_momentum and GridFunction.momentum_norm read the half
-    spectrum directly.
+    exactly, and the result's norm is checked. psi must be real. The
+    full complex grid is one np.fft.fft2 of psi's values, computed on
+    the first call and kept on psi: every caller reads the same
+    read-only samples. No epr document needs it; condition_on_momentum
+    and GridFunction.momentum_norm read one streamed pass of row
+    transforms instead.
     """
     return psi._momentum
 
@@ -458,8 +489,9 @@ def condition_on_momentum(psi: GridFunction, p: float) -> Distribution1D:
     """Distribution of p_II after particle I's momentum is found to be p.
 
     Slices the momentum representation at the momentum gridline nearest
-    to p and renormalizes; only that row is restored from psi's half
-    spectrum.
+    to p and renormalizes. Only that row is computed, in one streamed
+    pass of row transforms that also checks Parseval; no grid-sized
+    array is formed.
     """
     nyquist = np.pi / psi.grid.spacing
     if not abs(p) < nyquist:
@@ -471,7 +503,7 @@ def condition_on_momentum(psi: GridFunction, p: float) -> Distribution1D:
     coords = p_grid.coordinates
     return Distribution1D(
         coordinates=coords,
-        probabilities=np.abs(psi._momentum_rows(i)) ** 2,
+        probabilities=np.abs(psi._momentum_row(i)) ** 2,
         sliced_at=float(coords[i]),
     )
 
@@ -481,13 +513,23 @@ def relative_coordinate_marginal(
 ) -> Distribution1D:
     """Marginal distribution of x_I - x_II + offset.
 
-    Sums |Psi|^2 along the diagonals of constant coordinate difference.
+    Sums |Psi|^2 along the diagonals of constant coordinate difference,
+    a block of rows at a time: no grid-sized array is formed.
     """
     n = psi.grid.points
     h = psi.grid.spacing
-    density = np.abs(psi.values) ** 2
     i = np.arange(n)
-    diag_index = (i[:, None] - i[None, :] + n - 1).ravel()
-    sums = np.bincount(diag_index, weights=density.ravel(), minlength=2 * n - 1)
+    # A block of b rows spans b + n - 1 diagonals: its sample [r, j] lies
+    # on its diagonal r - j + n - 1, which is diagonal start + r - j + n - 1
+    # of the whole grid.
+    index = i[:ROW_BLOCK, None] - i + (n - 1)
+    sums = np.zeros(2 * n - 1)
+    for rows in _row_blocks(n):
+        density = np.abs(psi._rows(rows))
+        density *= density
+        size = len(density) + n - 1
+        sums[rows.start : rows.start + size] += np.bincount(
+            index[: len(density)].ravel(), weights=density.ravel(), minlength=size
+        )
     differences = np.arange(-(n - 1), n) * h + offset
     return Distribution1D(coordinates=differences, probabilities=sums)

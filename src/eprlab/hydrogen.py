@@ -317,17 +317,22 @@ def _overlap_quadrature():
     once per radial grid, each radial integral once per (n, l) pair and
     grid, each Y_lm once and each angular sum once per ordered
     (l1, m1, l2, m2) key, however many pairs read them; the caches live
-    as long as the returned function.
+    as long as the returned function, and the arrays they hold are
+    read-only.
     """
     theta, w_theta, phi, w_phi = _angular_quadrature()
 
+    def read_only(array: np.ndarray) -> np.ndarray:
+        array.setflags(write=False)
+        return array
+
     @cache
     def radial_samples(grid: RadialGrid, n: int, l: int) -> np.ndarray:
-        return radial_wavefunction(n, l, grid.radii)
+        return read_only(radial_wavefunction(n, l, grid.radii))
 
     @cache
     def squared_radii(grid: RadialGrid) -> np.ndarray:
-        return grid.radii**2
+        return read_only(grid.radii**2)
 
     @cache
     def radial_integral(grid: RadialGrid, n1: int, l1: int, n2: int, l2: int) -> float:
@@ -340,7 +345,7 @@ def _overlap_quadrature():
 
     @cache
     def harmonic(l: int, m: int) -> np.ndarray:
-        return spherical_harmonic(l, m, theta[:, None], phi[None, :])
+        return read_only(spherical_harmonic(l, m, theta[:, None], phi[None, :]))
 
     @cache
     def angular_sum(l1: int, m1: int, l2: int, m2: int) -> complex:

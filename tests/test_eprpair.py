@@ -97,6 +97,49 @@ def test_relative_marginal_centered_with_width_sigma():
     assert marginal.std() == pytest.approx(CFG.sigma, rel=0.01)
 
 
+def dense_relative_marginal_oracle(psi, offset):
+    """The marginal from the n x n density and an n^2 diagonal index."""
+    n = psi.grid.points
+    density = np.abs(psi.values) ** 2
+    i = np.arange(n)
+    diag_index = (i[:, None] - i[None, :] + n - 1).ravel()
+    sums = np.bincount(diag_index, weights=density.ravel(), minlength=2 * n - 1)
+    differences = np.arange(-(n - 1), n) * psi.grid.spacing + offset
+    return Distribution1D(coordinates=differences, probabilities=sums)
+
+
+@pytest.mark.parametrize("points", [64, 65, 100, 1000])
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_relative_marginal_matches_the_dense_sum(points, x0):
+    psi = build_epr_state(EprConfig(x0=x0, grid=UniformGrid2D(10.0, points)))
+    complex_samples = GridFunction.normalized(
+        np.exp(1j * np.arange(256.0)).reshape(16, 16) * np.arange(1.0, 17.0), SMALL
+    )
+    for state in (psi, complex_samples):
+        got = relative_coordinate_marginal(state, offset=x0)
+        expected = dense_relative_marginal_oracle(state, x0)
+        assert np.array_equal(got.coordinates, expected.coordinates)
+        np.testing.assert_allclose(
+            got.probabilities, expected.probabilities, rtol=0, atol=1e-15
+        )
+
+
+def test_relative_marginal_holds_no_grid_sized_temporary():
+    # A block of rows, its density and the block's diagonal index: no
+    # term grows as n^2, and the state's values are never built.
+    n = 1024
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, n)))
+    relative_coordinate_marginal(build_epr_state(EprConfig(grid=UniformGrid2D(10.0, 64))))
+    tracemalloc.start()
+    try:
+        relative_coordinate_marginal(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * eprpair.ROW_BLOCK * n * 8 + 2**17
+    assert "values" not in vars(psi)
+
+
 def test_conditional_position_tracks_offset():
     for x in (0.0, 0.5, -0.5, 1.0):
         dist = condition_on_position(PSI, x)
@@ -282,40 +325,65 @@ def fft_route(monkeypatch):
     return calls
 
 
-def assert_one_row_then_column_transform(calls):
-    """rffts along the rows, each written into the next rows of one
-    array so that together they cover each of its rows once, then one
-    fft down the columns written over that array; no 2D transform."""
+def assert_one_streamed_pass(calls, points):
+    """One rfft along the rows per block of ROW_BLOCK rows, each written
+    into a leading slice of one (ROW_BLOCK, points//2 + 1) buffer; no
+    column fft and no 2D transform."""
     names = [name for name, _args, _kwargs in calls]
-    assert names == ["rfft"] * (len(names) - 1) + ["fft"]
-    *row_calls, (_, (half,), fft_kwargs) = calls
-    assert fft_kwargs.keys() == {"axis", "out"}
-    assert fft_kwargs["axis"] == 0
-    assert fft_kwargs["out"] is half
+    assert names == ["rfft"] * -(-points // eprpair.ROW_BLOCK)
+    buf = calls[0][2]["out"].base
+    assert buf.shape == (eprpair.ROW_BLOCK, points // 2 + 1)
     covered = 0
-    for _, (block,), kwargs in row_calls:
+    for _, (block,), kwargs in calls:
         assert kwargs.keys() == {"axis", "out"}
         assert kwargs["axis"] == 1
         out = kwargs["out"]
-        assert out.base is half
-        assert out.ctypes.data == half.ctypes.data + covered * half.strides[0]
-        assert out.shape == (len(block), half.shape[1])
+        assert out.base is buf
+        assert out.ctypes.data == buf.ctypes.data
+        assert out.shape == (len(block), buf.shape[1])
         covered += len(block)
-    assert covered == len(half)
+    assert covered == points
 
 
-def test_epr_document_runs_one_fft(fft_route):
+def test_epr_document_runs_one_streamed_pass_of_row_transforms(fft_route):
     settings = cli.resolve_settings(cli.build_parser().parse_args(["epr"]))
     cli.run_epr(settings)
-    assert_one_row_then_column_transform(fft_route)
+    assert_one_streamed_pass(fft_route, settings["points"])
+
+
+def blocked_row_transforms(psi):
+    """np.fft.rfft of psi.values along its rows, ROW_BLOCK rows at a
+    time, with the slice of rows each block covers."""
+    n, size = psi.grid.points, eprpair.ROW_BLOCK
+    return [
+        (slice(start, start + size), np.fft.rfft(psi.values[start : start + size], axis=1))
+        for start in range(0, n, size)
+    ]
 
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_half_spectrum_is_bitwise_rfft2(points):
+    # The pass's C and S are rfft2's row transforms, a block at a time,
+    # projected on the column DFT's twiddles, bit for bit; C + iS and
+    # C - iS are rows k and -k of rfft2, the half spectrum.
     psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
-    h = psi.grid.spacing
-    expected = np.fft.rfft2(psi.values) * (h**2 / (2.0 * np.pi))
-    assert np.array_equal(psi._half_spectrum.view(float), expected.view(float))
+    half = np.fft.rfft2(psi.values)
+    blocks = blocked_row_transforms(psi)
+    for k in (0, 1, 7, points // 2, points - 3):
+        angles = (-2.0 * np.pi / points) * (k * np.arange(points) % points)
+        cos_k, sin_k = np.cos(angles), np.sin(angles)
+        c = np.zeros(2 * (points // 2 + 1))
+        s = np.zeros_like(c)
+        for rows, block in blocks:
+            c += np.einsum("i,ij->j", cos_k[rows], block.view(float))
+            s += np.einsum("i,ij->j", sin_k[rows], block.view(float))
+        pass_c, pass_s, _norm = psi._momentum_pass(k)
+        assert np.array_equal(pass_c.view(float), c)
+        assert np.array_equal(pass_s.view(float), s)
+        c, s = c.view(complex), s.view(complex)
+        atol = 1e-14 * np.abs(half).max()
+        np.testing.assert_allclose(c + 1j * s, half[k], rtol=0, atol=atol)
+        np.testing.assert_allclose(c - 1j * s, half[-k], rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
@@ -357,12 +425,21 @@ def squared_sum(values):
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_momentum_norm_is_bitwise_squared_magnitude_formula(points):
-    # The whole half spectrum once, plus the weight-2 columns once more.
-    psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
-    half = psi._half_spectrum
-    total = squared_sum(half) + squared_sum(half[:, 1 : (points + 1) // 2])
-    expected = float(np.sqrt(total * psi._momentum_grid.spacing**2))
+    # Each block's row transform once, plus its weight-2 columns once
+    # more, added block by block; the column DFT multiplies the squared
+    # sum by points. A conditional's pass finds the same bits at any row.
+    cfg = EprConfig(grid=UniformGrid2D(10.0, points))
+    psi = build_epr_state(cfg)
+    total = 0.0
+    for _rows, block in blocked_row_transforms(psi):
+        total += squared_sum(block) + squared_sum(block[:, 1 : (points + 1) // 2])
+    scale = psi.grid.spacing**2 / (2.0 * np.pi)
+    dp = psi._momentum_grid.spacing
+    expected = float(np.sqrt(points * total * scale**2 * dp**2))
     assert psi.momentum_norm == expected
+    conditioned = build_epr_state(cfg)
+    condition_on_momentum(conditioned, -2.0)
+    assert conditioned.momentum_norm == expected
 
 
 @pytest.mark.parametrize("points", [64, 65, 100, 1024])
@@ -372,11 +449,15 @@ def test_both_norms_match_an_exactly_rounded_sum(points):
     assert psi.norm == pytest.approx(
         math.sqrt(position * psi.grid.spacing**2), rel=1e-14, abs=0.0
     )
-    squares = psi._half_spectrum.view(float) ** 2
+    rows = np.concatenate([block for _rows, block in blocked_row_transforms(psi)])
+    squares = rows.view(float) ** 2
     squares[:, 2 : 2 * ((points + 1) // 2)] *= 2.0
     momentum = math.fsum(squares.ravel().tolist())
+    scale = psi.grid.spacing**2 / (2.0 * np.pi)
     assert psi.momentum_norm == pytest.approx(
-        math.sqrt(momentum * psi._momentum_grid.spacing**2), rel=1e-14, abs=0.0
+        math.sqrt(points * momentum * scale**2 * psi._momentum_grid.spacing**2),
+        rel=1e-14,
+        abs=0.0,
     )
 
 
@@ -397,20 +478,24 @@ def test_building_the_state_holds_no_grid_sized_temporary():
 
 
 @pytest.mark.parametrize("n", [512, 2048])
-def test_epr_document_peak_memory_stays_below_half_a_complex_grid_and_a_block(n):
-    # The half spectrum, about half of n^2 complex samples, and one block
-    # of rows beside it at the peak. The real n x n state, or any real
-    # grid-sized temporary, would add half of n^2 * 16 B.
-    settings = cli.resolve_settings(
-        cli.build_parser().parse_args(["epr", "--points", str(n)])
+def test_epr_document_peak_memory_has_no_grid_sized_term(n):
+    # A block of real rows, its row transform in the reused buffer and
+    # the factors at the peak: no term grows as n^2. The real n x n
+    # state, or the half spectrum, would add half of n^2 * 16 B. A small
+    # document runs first, so that numpy's lazy import of numpy.fft is
+    # not counted.
+    small, settings = (
+        cli.resolve_settings(cli.build_parser().parse_args(["epr", "--points", points]))
+        for points in ("128", str(n))
     )
+    cli.run_epr(small)
     tracemalloc.start()
     try:
         cli.run_epr(settings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * n * n * 16 + 64 * n * 8 + 2**17
+    assert peak <= 4 * eprpair.ROW_BLOCK * n * 8 + 2**17
 
 
 def test_momentum_representation_is_computed_once_and_read_only(fft_route):
@@ -420,7 +505,9 @@ def test_momentum_representation_is_computed_once_and_read_only(fft_route):
     second = momentum_representation(psi)
     condition_on_momentum(psi, 1.0)
     assert psi.momentum_norm == pytest.approx(1.0, abs=1e-12)
-    assert_one_row_then_column_transform(fft_route)
+    (name, _args, _kwargs), *pass_calls = fft_route
+    assert name == "fft2"
+    assert_one_streamed_pass(pass_calls, psi.grid.points)
     assert second is first
     assert not second.values.flags.writeable
     with pytest.raises(ValueError):
