@@ -14,7 +14,10 @@ Fourier convention: the unitary continuous transform in the d = 2
 coordinates (x_I, x_II),
 G(p) = (2 pi)^{-1} integral of f(x) exp(-i p . x) d^2x, discretized on
 the centered grid so that discrete Parseval holds exactly:
-sum |G|^2 dp^2 = sum |f|^2 dx^2.
+sum |G|^2 dp^2 = sum |f|^2 dx^2. On the grid that is the DFT times
+h^2 / 2 pi and, per axis, the phase that moves the FFT's index origin
+to the centered coordinate, then fftshifted: one helper applies it, to
+a momentum row and to the whole grid alike.
 
 Factored state, one streamed pass: the pair is a product
 f(x_I - x_II) g(x_I + x_II) of two real Gaussians, and on the uniform
@@ -27,8 +30,8 @@ that row and its mirror while the squared sum gives the Parseval norm.
 The transform of a real function obeys G(-p) = conj(G(p)), so the two
 projections give the whole row. No grid-sized array is formed: the
 points x points position grid is built only when a caller reads the
-state's values, and the full complex momentum grid only when
-momentum_representation asks for it.
+state's values, and the full complex momentum grid only by
+momentum_representation, anew on each call; the state keeps none of it.
 """
 
 from __future__ import annotations
@@ -133,12 +136,13 @@ class GridFunction:
     check strict makes norm preservation under the Fourier transform an
     observable fact instead of a silent correction.
 
-    The values are read-only and belong to the instance. The norm, the
-    momentum-side norm and the full momentum representation are computed
-    on first use and kept. A momentum row is read in one streamed pass
-    of row transforms, which also finds the momentum-side norm; the full
-    representation is a plain fft2 of the values. Only real samples have
-    a momentum transform here: for complex ones it raises ValueError.
+    The values are read-only and belong to the instance. The norm and
+    the momentum-side norm are computed on first use and kept. A
+    momentum row is read in one streamed pass of row transforms, which
+    also finds the momentum-side norm; the full representation is a
+    plain fft2 of the values, formed on each momentum_representation
+    call and not kept. Only real samples have a momentum transform
+    here: for complex ones it raises ValueError.
 
     The norm, the streamed pass, condition_on_position and
     relative_coordinate_marginal read the samples through _rows, a block
@@ -178,18 +182,14 @@ class GridFunction:
 
     @classmethod
     def normalized(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
-        """A copy of values divided by their norm."""
-        return cls._normalize_owned(_owned_copy(values), grid)
-
-    @classmethod
-    def _normalize_owned(cls, values: np.ndarray, grid: UniformGrid2D) -> GridFunction:
-        """values, a float or complex array no caller holds, divided by
-        their norm in place: one norm pass, one division.
+        """A copy of values divided by their norm: one norm pass, one
+        division.
 
         The quotient has unit norm by construction, so it is adopted
-        without a second norm pass or a copy. The grid and shape are
-        checked before the norm pass.
+        without a second norm pass or a second copy. The grid and shape
+        are checked before the norm pass.
         """
+        values = _owned_copy(values)
         _check_samples(values, grid)
         values /= _divisor(_l2_norm(values.__getitem__, grid))
         return cls._adopt(values, grid)
@@ -216,6 +216,16 @@ class GridFunction:
         n = self.grid.points
         return np.exp(1j * self.grid.axis.momenta * (n // 2) * self.grid.spacing)
 
+    def _centered(self, spectrum: np.ndarray, k: int | None = None) -> np.ndarray:
+        """spectrum, FFT-order row k of the samples' 2D DFT or, for k
+        None, the whole DFT, on the centered momentum grid: scaled in
+        place by (h^2 / 2 pi times its row phase) times the column phase,
+        then fftshifted."""
+        phase = self._phase
+        row_phase = phase[:, None] if k is None else phase[k]
+        spectrum *= (self.grid.spacing**2 / (2.0 * np.pi) * row_phase) * phase
+        return np.fft.fftshift(spectrum)
+
     def _check_real(self) -> None:
         if np.iscomplexobj(self._rows(slice(0, 0))):
             raise ValueError(
@@ -229,37 +239,36 @@ class GridFunction:
         and the momentum-side norm.
 
         Each block's row rfft is written into one reused buffer of
-        ROW_BLOCK rows; its weighted squared sum and its projections on
-        the column DFT's twiddles, cos and sin of -2 pi (k i mod n) / n
-        for row i, are added up before the next block overwrites it.
-        Columns 1 .. (points+1)//2 - 1 stand for themselves and their
-        mirrors -k2, so they are counted twice. The column DFT is n times
-        a unitary map, so n times that sum, scaled, is the whole
-        spectrum's Parseval norm; it is kept as momentum_norm, the same
-        bits whatever k. einsum is left unoptimized, so no BLAS call
-        makes a result depend on the thread count.
+        ROW_BLOCK rows; its weighted squared sum and its projection on
+        the column DFT's twiddles (cos and sin of -2 pi (k i mod n) / n
+        for row i, stacked as one (2, n) array) are added up before the
+        next block overwrites it. Columns 1 .. (points+1)//2 - 1 stand
+        for themselves and their mirrors -k2, so they are counted twice.
+        The column DFT is n times a unitary map, so n times that sum,
+        scaled, is the whole spectrum's Parseval norm; it is kept as
+        momentum_norm, the same bits whatever k. einsum is left
+        unoptimized, so no BLAS call makes a result depend on the thread
+        count.
         """
         self._check_real()
         n = self.grid.points
         m = n // 2 + 1
         angles = (-2.0 * np.pi / n) * (k * np.arange(n) % n)
-        cos_k, sin_k = np.cos(angles), np.sin(angles)
+        twiddles = np.stack([np.cos(angles), np.sin(angles)])
         buf = np.empty((ROW_BLOCK, m), dtype=complex)
-        c = np.zeros(2 * m)
-        s = np.zeros(2 * m)
+        cs = np.zeros((2, 2 * m))
         total = 0.0
         for rows in _row_blocks(n):
             block = self._rows(rows)
             out = buf[: len(block)]
             np.fft.rfft(block, axis=1, out=out)
             total += _squared_sum(out) + _squared_sum(out[:, 1 : (n + 1) // 2])
-            f = out.view(np.float64)
-            c += np.einsum("i,ij->j", cos_k[rows], f)
-            s += np.einsum("i,ij->j", sin_k[rows], f)
+            cs += np.einsum("ki,ij->kj", twiddles[:, rows], out.view(np.float64))
         scale = self.grid.spacing**2 / (2.0 * np.pi)
         norm = float(np.sqrt(n * total * scale**2 * self._momentum_grid.spacing**2))
         vars(self)["momentum_norm"] = norm
-        return c.view(complex), s.view(complex), norm
+        c, s = cs.view(complex)
+        return c, s, norm
 
     @cached_property
     def momentum_norm(self) -> float:
@@ -282,25 +291,7 @@ class GridFunction:
         row[:m] = c + 1j * s
         # A real function's transform has G[k1, k2] = conj(G[-k1, -k2]).
         row[m:] = np.conj((c - 1j * s)[n - m : 0 : -1])
-        phase = self._phase
-        row *= (self.grid.spacing**2 / (2.0 * np.pi)) * phase[k] * phase
-        return np.fft.fftshift(row)
-
-    @cached_property
-    def _momentum(self) -> GridFunction:
-        """What momentum_representation returns, computed once: the
-        samples' fft2 times h^2 / 2 pi and the phase outer product,
-        shifted onto the centered grid. Parseval is checked, not
-        assumed."""
-        self._check_real()
-        phase = self._phase
-        transformed = np.fft.fft2(self.values)
-        transformed *= (self.grid.spacing**2 / (2.0 * np.pi) * phase)[:, None] * phase
-        momentum = GridFunction._adopt(
-            np.fft.fftshift(transformed), self._momentum_grid
-        )
-        self._check_norm(momentum.norm)
-        return momentum
+        return self._centered(row, k)
 
 
 class _FactoredPair(GridFunction):
@@ -319,8 +310,6 @@ class _FactoredPair(GridFunction):
         # relative[n - 1 - i + j].
         for name, value in (
             ("grid", grid),
-            ("relative", relative),
-            ("center", center),
             ("toeplitz", windows(relative, n)[::-1]),
             ("hankel", windows(center, n)),
         ):
@@ -452,12 +441,17 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     centered convention as the position grid; discrete Parseval holds
     exactly, and the result's norm is checked. psi must be real. The
     full complex grid is one np.fft.fft2 of psi's values, computed on
-    the first call and kept on psi: every caller reads the same
-    read-only samples. No epr document needs it; condition_on_momentum
-    and GridFunction.momentum_norm read one streamed pass of row
-    transforms instead.
+    each call and owned by the result alone: psi keeps nothing of it.
+    No epr document needs it; condition_on_momentum and
+    GridFunction.momentum_norm read one streamed pass of row transforms
+    instead.
     """
-    return psi._momentum
+    psi._check_real()
+    momentum = GridFunction._adopt(
+        psi._centered(np.fft.fft2(psi.values)), psi._momentum_grid
+    )
+    psi._check_norm(momentum.norm)
+    return momentum
 
 
 def _nearest_interior_index(grid: UniformGrid2D, value: float, axis_name: str) -> int:

@@ -211,7 +211,9 @@ def test_state_matches_direct_evaluation(points, x0):
     np.testing.assert_allclose(psi.values, direct_state_oracle(cfg), rtol=0, atol=1e-14)
 
 
-# An odd point count has no Nyquist column in its half spectrum.
+# momentum_representation, momentum_norm and the rows the momentum
+# conditional reads, each against the full complex fft2 oracle. An odd
+# point count has no Nyquist column in a row's rfft.
 @pytest.mark.parametrize("points", [64, 65, 128])
 @pytest.mark.parametrize("x0", [0.0, 1.0])
 def test_half_spectrum_matches_full_grid_transform(points, x0):
@@ -363,9 +365,10 @@ def blocked_row_transforms(psi):
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_half_spectrum_is_bitwise_rfft2(points):
-    # The pass's C and S are rfft2's row transforms, a block at a time,
-    # projected on the column DFT's twiddles, bit for bit; C + iS and
-    # C - iS are rows k and -k of rfft2, the half spectrum.
+    # The pass's C and S are, bit for bit, each block's row rfft projected
+    # on the column DFT's cos and sin twiddles by two separate einsums,
+    # added block by block; C + iS and C - iS agree with rows k and -k of
+    # rfft2 to rounding.
     psi = build_epr_state(EprConfig(grid=UniformGrid2D(10.0, points)))
     half = np.fft.rfft2(psi.values)
     blocks = blocked_row_transforms(psi)
@@ -505,17 +508,41 @@ def test_momentum_representation_is_computed_once_and_read_only(fft_route):
     second = momentum_representation(psi)
     condition_on_momentum(psi, 1.0)
     assert psi.momentum_norm == pytest.approx(1.0, abs=1e-12)
-    (name, _args, _kwargs), *pass_calls = fft_route
-    assert name == "fft2"
+    first_call, second_call, *pass_calls = fft_route
+    assert [first_call[0], second_call[0]] == ["fft2", "fft2"]
     assert_one_streamed_pass(pass_calls, psi.grid.points)
-    assert second is first
-    assert not second.values.flags.writeable
-    with pytest.raises(ValueError):
-        second.values[0, 0] = 0.0
+    for g in (first, second):
+        assert not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0, 0] = 0.0
     assert np.array_equal(second.values.view(float), kept.view(float))
     fresh = GridFunction(psi.values, psi.grid)
     recomputed = momentum_representation(fresh).values
     assert np.array_equal(recomputed.view(float), kept.view(float))
+
+
+def test_momentum_representation_leaves_no_grid_sized_array_on_the_state():
+    # Each call forms its complex grid and returns it; once the result is
+    # dropped, the state holds its real values and nothing grid-sized
+    # more (a complex n x n grid is n^2 * 16 B). A first call on another
+    # state of the same size keeps numpy's lazy imports out of the count.
+    n = 128
+    cfg = EprConfig(grid=UniformGrid2D(20.0, n))
+    momentum_representation(build_epr_state(cfg))
+    psi = build_epr_state(cfg)
+    psi.values
+    tracemalloc.start()
+    try:
+        momentum_representation(psi)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2**14
+    assert not any(
+        isinstance(value, GridFunction)
+        or (isinstance(value, np.ndarray) and np.iscomplexobj(value))
+        for value in vars(psi).values()
+    )
 
 
 def test_normalized_takes_one_norm_pass(count_calls):
