@@ -22,16 +22,19 @@ a momentum row and to the whole grid alike.
 Factored state, one streamed pass: the pair is a product
 f(x_I - x_II) g(x_I + x_II) of two real Gaussians, and on the uniform
 grid each factor takes only 2 points - 1 values. The state is held as
-those two factors and its norm; its real (float64) samples are formed a
-block of ROW_BLOCK rows at a time, where they are read. A momentum row
-is read in one pass over those blocks: each block's row rfft goes into
-one reused buffer, and is projected onto the column DFT's twiddles for
-that row and its mirror while the squared sum gives the Parseval norm.
+those two factors, the relative one divided once by the norm of their
+product; its real (float64) samples are formed a block of ROW_BLOCK
+rows at a time, where they are read, with no division per read. A
+momentum row is read in one pass over those blocks: each block's row
+rfft goes into one reused buffer, and is projected onto the column
+DFT's twiddles for that row and its mirror while the squared sum gives
+the Parseval norm.
 The transform of a real function obeys G(-p) = conj(G(p)), so the two
 projections give the whole row. No grid-sized array is formed: the
 points x points position grid is built only when a caller reads the
 state's values, and the full complex momentum grid only by
-momentum_representation, anew on each call; the state keeps none of it.
+momentum_representation, anew on each call from the rows; the state
+keeps none of it.
 """
 
 from __future__ import annotations
@@ -140,15 +143,16 @@ class GridFunction:
     the momentum-side norm are computed on first use and kept. A
     momentum row is read in one streamed pass of row transforms, which
     also finds the momentum-side norm; the full representation is a
-    plain fft2 of the values, formed on each momentum_representation
+    plain fft2 of all the rows, formed on each momentum_representation
     call and not kept. Only real samples have a momentum transform
     here: for complex ones it raises ValueError.
 
-    The norm, the streamed pass, condition_on_position and
-    relative_coordinate_marginal read the samples through _rows, a block
-    of rows at a time: a view of values here, a product of factors for
-    the pair build_epr_state returns, whose values are built only when
-    read.
+    The norm, the streamed pass, condition_on_position,
+    relative_coordinate_marginal and momentum_representation read the
+    samples through _rows, a block of rows at a time (all of them, for
+    momentum_representation): a view of values here, the product of two
+    factors, one of them already normalized, for the pair
+    build_epr_state returns, whose values are built only when read.
     """
 
     values: np.ndarray
@@ -209,21 +213,16 @@ class GridFunction:
             length=2.0 * np.pi / self.grid.spacing, points=self.grid.points
         )
 
-    @property
-    def _phase(self) -> np.ndarray:
-        """Per-axis phase, in FFT order, that re-anchors the FFT's index
-        origin to the centered coordinate x = (i - points//2) h."""
-        n = self.grid.points
-        return np.exp(1j * self.grid.axis.momenta * (n // 2) * self.grid.spacing)
-
     def _centered(self, spectrum: np.ndarray, k: int | None = None) -> np.ndarray:
         """spectrum, FFT-order row k of the samples' 2D DFT or, for k
         None, the whole DFT, on the centered momentum grid: scaled in
         place by (h^2 / 2 pi times its row phase) times the column phase,
-        then fftshifted."""
-        phase = self._phase
+        then fftshifted. The per-axis phase, in FFT order, re-anchors the
+        FFT's index origin to the centered coordinate x = (i - points//2) h."""
+        h = self.grid.spacing
+        phase = np.exp(1j * self.grid.momenta * (self.grid.points // 2) * h)
         row_phase = phase[:, None] if k is None else phase[k]
-        spectrum *= (self.grid.spacing**2 / (2.0 * np.pi) * row_phase) * phase
+        spectrum *= (h**2 / (2.0 * np.pi) * row_phase) * phase
         return np.fft.fftshift(spectrum)
 
     def _check_real(self) -> None:
@@ -277,27 +276,13 @@ class GridFunction:
         conditional has run one)."""
         return self._momentum_pass(0)[2]
 
-    def _momentum_row(self, i: int) -> np.ndarray:
-        """Row i of momentum_representation(self).values, i a centered
-        row index, from one streamed pass. Parseval is checked, not
-        assumed, before the row is returned."""
-        n = self.grid.points
-        m = n // 2 + 1
-        # The FFT-order row of centered row i, as fftshift maps them.
-        k = (i - n // 2) % n
-        c, s, norm = self._momentum_pass(k)
-        self._check_norm(norm)
-        row = np.empty(n, dtype=complex)
-        row[:m] = c + 1j * s
-        # A real function's transform has G[k1, k2] = conj(G[-k1, -k2]).
-        row[m:] = np.conj((c - 1j * s)[n - m : 0 : -1])
-        return self._centered(row, k)
-
 
 class _FactoredPair(GridFunction):
     """The pair state held as its two factors: sample [i, j] is
-    toeplitz[i, j] * hankel[i, j] / raw_norm, formed a block of rows
-    at a time where it is read. values is built, read-only, on first
+    toeplitz[i, j] * hankel[i, j], formed a block of rows at a time
+    where it is read. relative is divided once, in place, by the norm
+    of the raw product, so the rows its Toeplitz view forms are
+    normalized as they are read. values is built, read-only, on first
     read and kept."""
 
     def __init__(self, relative: np.ndarray, center: np.ndarray, grid: UniformGrid2D):
@@ -314,15 +299,10 @@ class _FactoredPair(GridFunction):
             ("hankel", windows(center, n)),
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "raw_norm", _divisor(_l2_norm(self._raw_rows, grid)))
-
-    def _raw_rows(self, rows: slice) -> np.ndarray:
-        return self.toeplitz[rows] * self.hankel[rows]
+        relative /= _divisor(_l2_norm(self._rows, grid))
 
     def _rows(self, rows: slice) -> np.ndarray:
-        block = self._raw_rows(rows)
-        block /= self.raw_norm
-        return block
+        return self.toeplitz[rows] * self.hankel[rows]
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -417,10 +397,11 @@ def build_epr_state(cfg: EprConfig) -> GridFunction:
 
     With x_i = (i - n//2) h, x_I - x_II depends on i - j and x_I + x_II
     on i + j, so each factor is evaluated at its 2n - 1 values. The
-    state keeps those two arrays, a Toeplitz and a Hankel view of them
-    and the norm of their product, found in one pass over blocks of
-    rows; no n x n array is formed. Each row is the product of the two
-    views' rows divided by that norm, formed where it is read.
+    state keeps a Toeplitz and a Hankel view of those two arrays. The
+    norm of their product is found in one pass over blocks of rows, and
+    the relative factor is divided by it once; no n x n array is formed.
+    Each row is the product of the two views' rows, formed where it is
+    read.
     """
     n = cfg.grid.points
     h = cfg.grid.spacing
@@ -440,15 +421,16 @@ def momentum_representation(psi: GridFunction) -> GridFunction:
     The momentum grid has spacing 2 pi / (n h) and follows the same
     centered convention as the position grid; discrete Parseval holds
     exactly, and the result's norm is checked. psi must be real. The
-    full complex grid is one np.fft.fft2 of psi's values, computed on
-    each call and owned by the result alone: psi keeps nothing of it.
+    full complex grid is one np.fft.fft2 of psi's rows, read as one
+    block, computed on each call and owned by the result alone: psi
+    keeps nothing of it, not even its position values.
     No epr document needs it; condition_on_momentum and
     GridFunction.momentum_norm read one streamed pass of row transforms
     instead.
     """
     psi._check_real()
     momentum = GridFunction._adopt(
-        psi._centered(np.fft.fft2(psi.values)), psi._momentum_grid
+        psi._centered(np.fft.fft2(psi._rows(slice(None)))), psi._momentum_grid
     )
     psi._check_norm(momentum.norm)
     return momentum
@@ -494,10 +476,20 @@ def condition_on_momentum(psi: GridFunction, p: float) -> Distribution1D:
         )
     p_grid = psi._momentum_grid
     i = _nearest_interior_index(p_grid, p, "p")
+    n = p_grid.points
+    m = n // 2 + 1
+    # The FFT-order row of centered row i, as fftshift maps them.
+    k = (i - n // 2) % n
+    c, s, norm = psi._momentum_pass(k)
+    psi._check_norm(norm)
+    row = np.empty(n, dtype=complex)
+    row[:m] = c + 1j * s
+    # A real function's transform has G[k1, k2] = conj(G[-k1, -k2]).
+    row[m:] = np.conj((c - 1j * s)[n - m : 0 : -1])
     coords = p_grid.coordinates
     return Distribution1D(
         coordinates=coords,
-        probabilities=np.abs(psi._momentum_row(i)) ** 2,
+        probabilities=np.abs(psi._centered(row, k)) ** 2,
         sliced_at=float(coords[i]),
     )
 

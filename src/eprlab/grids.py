@@ -3,7 +3,8 @@
 Coordinates follow the FFT-friendly convention x_i = (i - points//2) * h
 with h = length / points, so refining by doubling the point count halves
 the spacing exactly and the discrete Fourier transform maps cleanly onto
-the reciprocal grid.
+the reciprocal grid. A square 2D grid is that 1D axis taken along both
+coordinates: it has the same fields, checks and geometry.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ class UniformGrid1D:
     points: int
 
     def __post_init__(self) -> None:
-        if self.length <= 0.0:
-            raise ValueError("grid length must be positive")
+        # Written so that a NaN length fails too.
+        if not 0.0 < self.length < float("inf"):
+            raise ValueError(
+                f"grid length must be finite and positive, got {self.length!r}"
+            )
         if self.points < 2:
-            raise ValueError("grid needs at least 2 points")
+            raise ValueError("grid needs at least 2 points per axis")
 
     @property
     def spacing(self) -> float:
@@ -44,30 +48,9 @@ class UniformGrid1D:
 
     def refined(self) -> UniformGrid1D:
         """Same length with twice the points: half the spacing."""
-        return UniformGrid1D(self.length, 2 * self.points)
+        return type(self)(self.length, 2 * self.points)
 
 
 @dataclass(frozen=True)
-class UniformGrid2D:
-    """Square 2D grid: the same 1D geometry along each axis."""
-
-    length: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if self.length <= 0.0:
-            raise ValueError("grid length must be positive")
-        if self.points < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-
-    @property
-    def axis(self) -> UniformGrid1D:
-        return UniformGrid1D(self.length, self.points)
-
-    @property
-    def spacing(self) -> float:
-        return self.axis.spacing
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        return self.axis.coordinates
+class UniformGrid2D(UniformGrid1D):
+    """Square 2D grid: its UniformGrid1D axis along each coordinate."""

@@ -184,7 +184,7 @@ def full_grid_transform_oracle(psi):
     phase outer product that re-anchors the FFT's index origin to the
     centered coordinates, then fftshift."""
     n, h = psi.grid.points, psi.grid.spacing
-    phase = np.exp(1j * psi.grid.axis.momenta * (n // 2) * h)
+    phase = np.exp(1j * psi.grid.momenta * (n // 2) * h)
     transformed = np.fft.fft2(psi.values.astype(complex))
     transformed *= h**2 / (2.0 * np.pi)
     transformed *= phase[:, None] * phase[None, :]
@@ -391,8 +391,9 @@ def test_half_spectrum_is_bitwise_rfft2(points):
 
 @pytest.mark.parametrize("points", [64, 100, 513, 1024])
 def test_state_is_bitwise_out_of_place_normalization(points):
-    # The factors' product divided, out of place, by the raw norm the
-    # state keeps; that norm is checked against an exactly rounded sum.
+    # The relative factor divided, out of place, by the blocked norm of
+    # the raw product, times the center factor; that norm is checked
+    # against an exactly rounded sum.
     cfg = EprConfig(grid=UniformGrid2D(10.0, points))
     n, h = points, cfg.grid.spacing
     steps = np.arange(2 * n - 1)
@@ -402,9 +403,10 @@ def test_state_is_bitwise_out_of_place_normalization(points):
     )
     windows = np.lib.stride_tricks.sliding_window_view
     raw = windows(relative, n)[:, ::-1] * windows(center, n)
+    s = eprpair._l2_norm(raw.__getitem__, cfg.grid)
+    expected = windows(relative / s, n)[:, ::-1] * windows(center, n)
     psi = build_epr_state(cfg)
-    s = psi.raw_norm
-    assert np.array_equal(psi.values.view(float), (raw / s).view(float))
+    assert np.array_equal(psi.values.view(float), expected.view(float))
     exact = math.sqrt(math.fsum((raw.ravel() ** 2).tolist()) * h**2)
     assert s == pytest.approx(exact, rel=1e-15, abs=0.0)
 
@@ -543,6 +545,17 @@ def test_momentum_representation_leaves_no_grid_sized_array_on_the_state():
         or (isinstance(value, np.ndarray) and np.iscomplexobj(value))
         for value in vars(psi).values()
     )
+
+
+def test_momentum_representation_leaves_the_pair_values_unbuilt():
+    # The transform reads the pair's rows as one block: a fresh pair's
+    # real n x n values are neither built nor kept by the call.
+    psi = build_epr_state(EprConfig(grid=UniformGrid2D(20.0, 128)))
+    g = momentum_representation(psi)
+    assert "values" not in vars(psi)
+    # Bit for bit the transform of the same samples held as values.
+    from_values = momentum_representation(GridFunction(psi.values, psi.grid))
+    assert np.array_equal(g.values.view(float), from_values.values.view(float))
 
 
 def test_normalized_takes_one_norm_pass(count_calls):

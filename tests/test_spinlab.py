@@ -274,6 +274,35 @@ def test_preassigned_probabilistic_matches_projection_oracle():
         assert abs(value - oracle) <= 4.0 / np.sqrt(n)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # Oblique settings, where each particle's reading is a coin flip.
+        ((30.0, 10.0), (110.0, 70.0)),
+        # Polar 0 and 180, where each configuration fixes both readings:
+        # the cells the law gives probability 0 must stay empty.
+        ((0.0, 0.0), (180.0, 0.0)),
+        ((180.0, 0.0), (180.0, 0.0)),
+        ((0.0, 0.0), (0.0, 0.0)),
+    ],
+)
+def test_sample_pair_probabilistic_rule_matches_its_law(a, b):
+    # The per-pair route of the probabilistic rule, tallied over 20,000
+    # pairs: each cell within 5 sigma of its binomial count under the
+    # exact law (a cell of probability 0 or 1 has sigma 0).
+    model = PreassignedDefinite("probabilistic")
+    a, b = AnalyzerSetting.from_degrees(*a), AnalyzerSetting.from_degrees(*b)
+    rng = np.random.default_rng(19)
+    n = 20_000
+    tally = np.zeros(4)
+    for _ in range(n):
+        outcome = sample_pair(model, a, b, rng)
+        # (up_up, up_down, down_up, down_down), as joint_law orders them.
+        tally[2 * (outcome.electron < 0) + (outcome.positron < 0)] += 1
+    law = joint_law(model, a, b)
+    assert np.all(np.abs(tally - n * law) <= 5.0 * np.sqrt(n * law * (1.0 - law)))
+
+
 def test_preassigned_rejects_unknown_rule():
     with pytest.raises(ValueError):
         PreassignedDefinite(rule="telepathic")
